@@ -12,14 +12,22 @@ generating series, the dimension-bound table, and the pullback maxima table.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 import numpy as np
 
-from .e8 import DominantWeight, E8Vector, _batch_reduce, max_pairing, orbit_size
+from .e8 import (
+    DominantWeight,
+    E8Vector,
+    _batch_reduce,
+    _pack,
+    _unpack,
+    max_pairing,
+    orbit_size,
+)
 from .invring import SIGMA_LABELS, InvariantElement, label_weight
 from .jacobi import (
     JacobiQExpansion,
@@ -61,41 +69,24 @@ class CatalogError(RuntimeError):
 # ---------------------------------------------------------------------------
 # small q-series helpers (cached per order)
 
-_series_lock = threading.Lock()
-_series_cache: dict[tuple, ModularQSeries] = {}
-
-
+@cache
 def _E(k: int, order: int) -> ModularQSeries:
-    key = ("E", k, order)
-    with _series_lock:
-        if key not in _series_cache:
-            _series_cache[key] = eisenstein(k, order)
-        return _series_cache[key]
+    return eisenstein(k, order)
 
 
+@cache
 def _D(order: int, power: int = 1) -> ModularQSeries:
-    key = ("D", power, order)
-    with _series_lock:
-        if key not in _series_cache:
-            d = delta(order)
-            out = d
-            for _ in range(power - 1):
-                out = series_mul(out, d)
-            _series_cache[key] = out
-        return _series_cache[key]
+    d = delta(order)
+    out = d
+    for _ in range(power - 1):
+        out = series_mul(out, d)
+    return out
 
 
+@cache
 def _mf(a4: int, a6: int, order: int) -> ModularQSeries:
     """E4^a4 * E6^a6 at the given order."""
-    key = ("M", a4, a6, order)
-    with _series_lock:
-        cached = _series_cache.get(key)
-    if cached is not None:
-        return cached
-    out = _E(4, order) ** a4 * _E(6, order) ** a6
-    with _series_lock:
-        _series_cache[key] = out
-    return out
+    return _E(4, order) ** a4 * _E(6, order) ** a6
 
 
 def _display_coeff(elem: InvariantElement, label: str) -> Fraction:
@@ -172,36 +163,33 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
     half = _fold(block, block, 2, budget)
     full = _fold(half, half, 0, budget)
 
-    per_n: list[dict[tuple, int]] = [dict() for _ in range(n_num + 1)]
-    for (t2, coords), c in full.items():
-        assert t2 % 2 == 0
-        n = t2 // 2
-        if n > n_num:
-            continue
-        assert sum(coords) % 2 == 0, "raw exponent escaped the even-sum sublattice"
-        d = tuple(2 * x for x in coords)
-        per_n[n][d] = per_n[n].get(d, 0) + c
+    t2 = np.array([k[0] for k in full], dtype=np.int64)
+    coords = np.array([k[1] for k in full], dtype=np.int64)
+    raw = np.array(list(full.values()), dtype=np.int64)
+    if (t2 % 2).any():
+        raise CatalogError("odd doubled q-exponent in the theta product")
+    if (coords.sum(axis=1) % 2).any():
+        raise CatalogError("raw exponent escaped the even-sum sublattice")
 
     terms = []
-    for n, bucket in enumerate(per_n):
-        if not bucket:
+    for n in range(n_num + 1):
+        sel = t2 == 2 * n
+        if not sel.any():
             terms.append(InvariantElement.zero())
             continue
-        vecs = np.array(list(bucket.keys()), dtype=np.int64)
-        raw = list(bucket.values())
-        reduced = _batch_reduce(vecs)
-        acc: dict[tuple, int] = {}
-        for row, c in zip(reduced, raw):
-            key = tuple(int(x) for x in row)
-            acc[key] = acc.get(key, 0) + c
+        reduced = _batch_reduce(2 * coords[sel])
+        keys, inverse = np.unique(_pack(reduced), return_inverse=True)
+        totals = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(totals, inverse, raw[sel])
         elem: dict[DominantWeight, Fraction] = {}
-        for key, total in acc.items():
+        for row, total in zip(_unpack(keys), totals):
             if total:
-                m = DominantWeight(E8Vector(key))
-                elem[m] = Fraction(total, orbit_size(m))
+                m = DominantWeight(E8Vector(row))
+                elem[m] = Fraction(int(total), orbit_size(m))
         terms.append(InvariantElement(elem))
 
-    assert terms[0].is_zero() and terms[1].is_zero(), "prefactor power mismatch"
+    if not (terms[0].is_zero() and terms[1].is_zero()):
+        raise CatalogError("prefactor power mismatch")
     num = JacobiQExpansion(8, 4, terms)
     quot = jf_div_modular(num, _D(n_num, 2))
     lam = _display_coeff(quot.term(0), "Σ_{16'}")
@@ -747,7 +735,6 @@ def _entries() -> list[RegistryEntry]:
 
 REGISTRY: dict[str, RegistryEntry] = {e.name: e for e in _entries()}
 
-_build_lock = threading.Lock()
 _build_cache: dict[tuple[str, int], JacobiQExpansion] = {}
 
 
@@ -768,8 +755,7 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
     if order is None:
         order = default_order(entry.index)
     key = (name, order)
-    with _build_lock:
-        cached = _build_cache.get(key)
+    cached = _build_cache.get(key)
     if cached is not None:
         return cached
     form = entry.builder(order)
@@ -780,8 +766,7 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
         entry.index,
         order,
     ), f"builder contract broken for {name}"
-    with _build_lock:
-        _build_cache[key] = form
+    _build_cache[key] = form
     return form
 
 

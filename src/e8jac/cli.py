@@ -50,17 +50,12 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
 
-def _frac_str(x: Fraction) -> str:
-    return format_rational(x)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_expand(args) -> int:
-    order = args.order if args.order is not None else None
-    form = build(args.form, order)
+    form = build(args.form, args.order)
     if args.format == "json":
         _emit_json(
             {
@@ -154,7 +149,7 @@ def _cmd_solve_cascade(args) -> int:
                 "w0": sys_.start_weight,
                 "norms": list(sys_.norms),
                 "matrix": [
-                    [_frac_str(x) for x in row] for row in sys_.matrix
+                    [format_rational(x) for x in row] for row in sys_.matrix
                 ],
                 "nullspace": [list(v) for v in sys_.nullspace],
             }

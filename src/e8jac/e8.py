@@ -6,13 +6,16 @@ integers of one shared parity with sum divisible by 4. Everything stays in
 integer arithmetic, including the closest-vector decoder.
 
 Bulk kernels (shell enumeration, batched dominant reduction, orbit closure,
-the full coset sweep) run on int64 numpy arrays; all magnitudes here are a
-few hundred at most, nowhere near overflow.
+the full coset sweep) run on int64 numpy arrays. Every dedupe or bin of
+lattice rows packs each row into one uint64 key, a byte per doubled
+coordinate (see _pack), so every doubled coordinate must lie in
+[-128, 127]. A row beyond that, which needs norm >= 4096, raises
+BudgetError; the deepest path in the benchmark and the catalog reaches a
+doubled coordinate of 12.
 """
 from __future__ import annotations
 
 import os
-import threading
 from math import factorial, isqrt
 
 import numpy as np
@@ -264,6 +267,23 @@ def _batch_reduce_by_reflection(arr: np.ndarray) -> np.ndarray:
     return v
 
 
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of an (n, 8) doubled-coordinate array.
+
+    Byte k holds coordinate k offset by 128, coordinate 0 in the high byte,
+    so sorting keys sorts rows lexicographically.
+    """
+    if rows.size and (rows.min() < -128 or rows.max() > 127):
+        raise BudgetError("lattice row has a doubled coordinate outside [-128, 127]")
+    as_bytes = (rows + 128).astype(np.uint8, order="C")
+    return as_bytes.view(">u8").ravel().astype(np.uint64)
+
+
+def _unpack(keys: np.ndarray) -> np.ndarray:
+    """Inverse of _pack: the (n, 8) int64 rows of uint64 keys."""
+    return keys.astype(">u8").view(np.uint8).reshape(-1, 8).astype(np.int64) - 128
+
+
 _SPINOR_D = np.array(_ROOTS_D[0], dtype=np.int64)
 
 
@@ -358,7 +378,6 @@ def _stabilizer_order(fw) -> int:
     return order
 
 
-_lock = threading.Lock()
 _size_cache: dict[tuple, int] = {}
 _orbit_cache: dict[tuple, np.ndarray] = {}
 _shell_cache: dict[int, list] = {}
@@ -367,25 +386,24 @@ _shell_cache: dict[int, list] = {}
 def orbit_size(m: DominantWeight) -> int:
     """|W(E8)-orbit of m| = |W(E8)| / |stabilizer|, computed without enumeration."""
     key = m.v.d
-    with _lock:
-        if key not in _size_cache:
-            stab = _stabilizer_order(m.fw)
-            q, r = divmod(WEYL_ORDER, stab)
-            assert r == 0
-            _size_cache[key] = q
-        return _size_cache[key]
+    if key not in _size_cache:
+        stab = _stabilizer_order(m.fw)
+        q, r = divmod(WEYL_ORDER, stab)
+        assert r == 0
+        _size_cache[key] = q
+    return _size_cache[key]
 
 
 def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
     """The full orbit as a lexicographically sorted (size, 8) int64 array.
 
-    Breadth-first closure under the 8 simple reflections. The size is known
-    up front from the stabilizer order, which doubles as the budget guard
-    and as a completeness assertion on the closure.
+    Breadth-first closure under the 8 simple reflections, with the seen set
+    held as sorted packed keys. The size is known up front from the
+    stabilizer order, which doubles as the budget guard and as a
+    completeness check on the closure.
     """
     key = m.v.d
-    with _lock:
-        cached = _orbit_cache.get(key)
+    cached = _orbit_cache.get(key)
     if cached is not None:
         return cached
     size = orbit_size(m)
@@ -393,30 +411,24 @@ def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
         raise BudgetError(
             f"orbit of size {size} exceeds element budget {element_budget(budget)}"
         )
-
-    def rows_view(a: np.ndarray) -> np.ndarray:
-        b = np.ascontiguousarray(a)
-        return b.view([("", b.dtype)] * 8).ravel()
-
     frontier = np.array([m.v.d], dtype=np.int64)
-    seen = frontier
-    seen_v = rows_view(seen)
+    seen = _pack(frontier)
     while frontier.size:
         p4 = frontier @ _A2.T
         images = [frontier - (p4[:, i : i + 1] // 4) * _A2[i] for i in range(8)]
-        cand = np.unique(np.concatenate(images), axis=0)
-        fresh = cand[~np.isin(rows_view(cand), seen_v, assume_unique=True)]
+        cand = np.unique(_pack(np.concatenate(images)))
+        # binary search and insertion keep `seen` sorted without a re-sort
+        pos = np.searchsorted(seen, cand)
+        fresh = cand[seen[np.minimum(pos, len(seen) - 1)] != cand]
         if not fresh.size:
             break
-        seen = np.concatenate([seen, fresh])
-        seen_v = np.sort(rows_view(seen))
-        frontier = fresh
-    assert len(seen) == size, "orbit closure disagrees with stabilizer order"
-    order = np.lexsort(tuple(seen[:, i] for i in range(7, -1, -1)))
-    out = seen[order]
+        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
+        frontier = _unpack(fresh)
+    if len(seen) != size:
+        raise RuntimeError("orbit closure disagrees with stabilizer order")
+    out = _unpack(seen)
     out.setflags(write=False)
-    with _lock:
-        _orbit_cache[key] = out
+    _orbit_cache[key] = out
     return out
 
 
@@ -474,8 +486,7 @@ def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
     """
     if two_n < 0 or two_n % 2:
         raise ValueError("shell norm must be even and non-negative")
-    with _lock:
-        cached = _shell_cache.get(two_n)
+    cached = _shell_cache.get(two_n)
     if cached is not None:
         return list(cached)
     reps = _dominant_of_norm(two_n)
@@ -483,8 +494,7 @@ def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
     total = sum(s for _, s in out)
     expect = 1 if two_n == 0 else 240 * sigma_pow(two_n // 2, 3)
     assert total == expect, f"shell {two_n}: {total} points, expected {expect}"
-    with _lock:
-        _shell_cache[two_n] = out
+    _shell_cache[two_n] = out
     return list(out)
 
 
@@ -552,9 +562,9 @@ def shell_by_enumeration(
     odd = odd[odd.sum(axis=1) % 4 == 0]
     points = np.concatenate([even, odd])
     reduced = _batch_reduce(points)
-    reps, counts = np.unique(reduced, axis=0, return_counts=True)
+    keys, counts = np.unique(_pack(reduced), return_counts=True)
     out = [
-        (DominantWeight(E8Vector(tuple(r))), int(c)) for r, c in zip(reps, counts)
+        (DominantWeight(E8Vector(r)), int(c)) for r, c in zip(_unpack(keys), counts)
     ]
     out.sort(key=lambda pair: pair[0])
     return out
@@ -595,11 +605,14 @@ def coset_min_norm(l: E8Vector, t: int) -> int:
     return q
 
 
-def max_coset_min_norm(t: int, chunk: int = 1 << 16) -> int:
+_COSET_CHUNK = 1 << 16
+
+
+def max_coset_min_norm(t: int) -> int:
     """max over all cosets of E8/tE8 of the coset minimum norm.
 
     Sweeps all t^8 coset representatives sum(c_i * alpha_i), c in [0,t)^8,
-    in vectorized chunks.
+    in vectorized chunks of _COSET_CHUNK.
     """
     if t < 1:
         raise ValueError("index t must be positive")
@@ -608,8 +621,8 @@ def max_coset_min_norm(t: int, chunk: int = 1 << 16) -> int:
     total = t**8
     radix = t ** np.arange(8, dtype=np.int64)
     best = 0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _COSET_CHUNK):
+        idx = np.arange(start, min(start + _COSET_CHUNK, total), dtype=np.int64)
         digits = (idx[:, None] // radix) % t
         dvecs = digits @ _A2
         scaled = None

@@ -10,7 +10,6 @@ Internally everything multiplies plain orbit sums; the 240-normalized
 """
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +19,8 @@ from .e8 import (
     DominantWeight,
     E8Vector,
     _batch_reduce,
+    _pack,
+    _unpack,
     orbit_array,
     orbit_size,
 )
@@ -300,7 +301,6 @@ def from_display(pairs) -> InvariantElement:
 # the pair count #{(a,b) : a+b in orbit(m)} is constant along the orbit of
 # the second factor, so one pass over the smaller orbit suffices.
 
-_pair_lock = threading.Lock()
 _pair_cache: dict[tuple, dict[DominantWeight, Fraction]] = {}
 
 
@@ -310,22 +310,20 @@ def _orbit_pair_product(
     if orbit_size(m1) > orbit_size(m2):
         m1, m2 = m2, m1
     key = (m1.v.d, m2.v.d)
-    with _pair_lock:
-        cached = _pair_cache.get(key)
+    cached = _pair_cache.get(key)
     if cached is not None:
         return cached
     if m2.v == ZERO:  # identity element
         out = {m1: Fraction(1)}
     else:
         shifted = orbit_array(m1, budget) + np.array(m2.v.d, dtype=np.int64)
-        reps, counts = np.unique(_batch_reduce(shifted), axis=0, return_counts=True)
+        keys, counts = np.unique(_pack(_batch_reduce(shifted)), return_counts=True)
         size2 = orbit_size(m2)
         out = {}
-        for rep, u in zip(reps, counts):
-            m = DominantWeight(E8Vector(tuple(int(x) for x in rep)))
+        for rep, u in zip(_unpack(keys), counts):
+            m = DominantWeight(E8Vector(rep))
             out[m] = Fraction(int(u) * size2, orbit_size(m))
-    with _pair_lock:
-        _pair_cache[key] = out
+    _pair_cache[key] = out
     return out
 
 
@@ -347,36 +345,23 @@ def inv_mul_brute(m1: DominantWeight, m2: DominantWeight) -> dict[DominantWeight
     orbits, bin every sum a+b by its dominant representative, divide by orbit
     sizes. Quadratic; for oracle tests only.
 
-    The binning packs each reduced row into one 64-bit key (a byte per
-    coordinate, offset by 128), so the unique/count step runs on a flat
-    integer array; work is chunked to bound memory.
+    The binning runs on packed row keys; work is chunked to bound memory.
     """
     a = orbit_array(m1)
     b = orbit_array(m2)
     chunk = max(1, 2_000_000 // len(b))
-    shifts = (np.arange(8, dtype=np.uint64) * np.uint64(8))
     keys: list[np.ndarray] = []
     counts: list[np.ndarray] = []
     for lo in range(0, len(a), chunk):
         sums = (a[lo:lo + chunk, None, :] + b[None, :, :]).reshape(-1, 8)
-        red = _batch_reduce(sums)
-        assert np.abs(red).max(initial=0) < 128
-        packed = ((red + 128).astype(np.uint64) << shifts).sum(
-            axis=1, dtype=np.uint64
-        )
-        u, c = np.unique(packed, return_counts=True)
+        u, c = np.unique(_pack(_batch_reduce(sums)), return_counts=True)
         keys.append(u)
         counts.append(c)
-    allk = np.concatenate(keys)
-    allc = np.concatenate(counts)
-    uniq, inverse = np.unique(allk, return_inverse=True)
+    uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     merged = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(merged, inverse, allc)
-    rows = ((uniq[:, None] >> shifts[None, :]) & np.uint64(255)).astype(
-        np.int64
-    ) - 128
+    np.add.at(merged, inverse, np.concatenate(counts))
     out = {}
-    for row, n in zip(rows, merged):
-        m = DominantWeight(E8Vector(tuple(int(x) for x in row)))
+    for row, n in zip(_unpack(uniq), merged):
+        m = DominantWeight(E8Vector(row))
         out[m] = Fraction(int(n), orbit_size(m))
     return out

@@ -1,7 +1,15 @@
 """e8: lattice model, orbits, shells, coset decoding."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import e8jac
 from e8jac.e8 import (
     FUNDAMENTAL_WEIGHTS,
     HIGHEST_ROOT,
@@ -11,6 +19,8 @@ from e8jac.e8 import (
     BudgetError,
     DominantWeight,
     E8Vector,
+    _pack,
+    _unpack,
     coset_min_norm,
     dominant_reduce,
     max_coset_min_norm,
@@ -179,6 +189,57 @@ def test_orbit_budget_env(monkeypatch):
     monkeypatch.setenv("E8JAC_BUDGET", "100")
     with pytest.raises(BudgetError):
         orbit_array(fw(1, 2, 0, 0, 0, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# packed row keys
+
+byte_rows = arrays(
+    np.int64, st.tuples(st.integers(0, 40), st.just(8)),
+    elements=st.integers(-128, 127),
+)
+
+
+@given(byte_rows)
+def test_pack_round_trip(rows):
+    keys = _pack(rows)
+    assert keys.dtype == np.uint64 and keys.shape == (len(rows),)
+    assert (_unpack(keys) == rows).all()
+
+
+@given(byte_rows)
+def test_pack_order_is_lex_row_order(rows):
+    lex = np.lexsort(tuple(rows[:, i] for i in range(7, -1, -1)))
+    assert (np.argsort(_pack(rows), kind="stable") == lex).all()
+
+
+@pytest.mark.parametrize("bad", [128, -129])
+def test_pack_rejects_out_of_byte_range(bad):
+    rows = np.zeros((3, 8), dtype=np.int64)
+    rows[1, 5] = bad
+    with pytest.raises(BudgetError):
+        _pack(rows)
+
+
+def test_orbit_beyond_byte_range_raises_under_optimize():
+    # 64*w_8 has doubled coordinates (0,...,0,128): a 240-point orbit, well
+    # inside the element budget, that packed keys cannot hold
+    code = (
+        "from e8jac.e8 import BudgetError, DominantWeight, orbit_array\n"
+        "try:\n"
+        "    orbit_array(DominantWeight.from_fw((0,) * 7 + (64,)))\n"
+        "except BudgetError:\n"
+        "    print('BudgetError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("E8JAC_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "BudgetError"
 
 
 # ---------------------------------------------------------------------------
