@@ -2,9 +2,10 @@
 
 Every explicitly constructed form of index 1..4 lives here under a stable
 ASCII identifier, together with its recipe, its normalization rule, and the
-class (weak / holomorphic / cusp) it is expected to have. Builders compute
-required input orders backward through the operator chain, so a requested
-truncation order is honest: all returned terms are exact.
+class (weak / holomorphic / cusp) it is expected to have. Most forms are
+recipes held as data and built by one evaluator, which computes the input
+orders backward through the operator chain, so a requested truncation order
+is honest: all returned terms are exact.
 
 Alongside the registry: the q^0 cascade linear systems, holomorphic-subspace
 extraction by exact linear algebra, free-module rank verification, the rank
@@ -12,7 +13,7 @@ generating series, the dimension-bound table, and the pullback maxima table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from math import isqrt
@@ -40,7 +41,7 @@ from .jacobi import (
     theta_e8,
 )
 from .linalg import nullspace, rank
-from .qseries import ModularQSeries, delta, dim_modular, eisenstein, series_mul, sigma_pow
+from .qseries import ModularQSeries, delta, dim_modular, eisenstein
 
 __all__ = [
     "CatalogError",
@@ -48,6 +49,9 @@ __all__ = [
     "REGISTRY",
     "build",
     "build_phi16_4",
+    "Recipe",
+    "Term",
+    "parse_recipe",
     "CascadeSystem",
     "solve_cascade",
     "holomorphic_subspace",
@@ -67,26 +71,12 @@ class CatalogError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# small q-series helpers (cached per order)
+# small q-series helper (cached per order)
 
 @cache
-def _E(k: int, order: int) -> ModularQSeries:
-    return eisenstein(k, order)
-
-
-@cache
-def _D(order: int, power: int = 1) -> ModularQSeries:
-    d = delta(order)
-    out = d
-    for _ in range(power - 1):
-        out = series_mul(out, d)
-    return out
-
-
-@cache
-def _mf(a4: int, a6: int, order: int) -> ModularQSeries:
-    """E4^a4 * E6^a6 at the given order."""
-    return _E(4, order) ** a4 * _E(6, order) ** a6
+def _mf(a4: int, a6: int, d: int, order: int) -> ModularQSeries:
+    """E4^a4 · E6^a6 · Δ^d at the given order."""
+    return eisenstein(4, order) ** a4 * eisenstein(6, order) ** a6 * delta(order) ** d
 
 
 def _display_coeff(elem: InvariantElement, label: str) -> Fraction:
@@ -191,7 +181,7 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
     if not (terms[0].is_zero() and terms[1].is_zero()):
         raise CatalogError("prefactor power mismatch")
     num = JacobiQExpansion(8, 4, terms)
-    quot = jf_div_modular(num, _D(n_num, 2))
+    quot = jf_div_modular(num, _mf(0, 0, 2, n_num))
     lam = _display_coeff(quot.term(0), "Σ_{16'}")
     if not lam:
         raise CatalogError("projection lost the leading orbit; recipe broken")
@@ -199,125 +189,155 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Builders. Each takes the requested output order and works out the input
-# orders its operator chain consumes.
+# Recipes. A catalog form is a sum of terms, each written as one string
+#
+#     "c E4^a E6^b Δ^d heat(F1·F2·…)"   or   "c E4^a E6^b Δ^d F|T₋(s)"
+#
+# where c is a rational (default 1), the modular factors and heat are
+# optional, F1·F2·… is a product of registry forms and F|T₋(s) applies the
+# index-raising operator. A recipe may divide the sum by Δ (its terms are
+# then built one order deeper), rescale it so that one q^0 Σ-label has
+# display coefficient 1, or subtract the multiple of a tail term that
+# cancels the q² Σ_{16'} coefficient. One evaluator builds every recipe, and
+# the registry's recipe text is rendered from the same data.
+
+_SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
-def _b_theta(n: int) -> JacobiQExpansion:
-    return theta_e8(n)
+@dataclass(frozen=True)
+class Term:
+    coeff: Fraction
+    e4: int
+    e6: int
+    delta: int
+    heat: bool
+    factors: tuple[str, ...]
+    lift: int  # s of F|T₋(s); 1 for none
+
+    @classmethod
+    def parse(cls, text: str) -> "Term":
+        *head, body = text.split()
+        coeff = Fraction(head.pop(0) if head and head[0][0] in "-0123456789" else 1)
+        powers = {"E4": 0, "E6": 0, "Δ": 0}
+        for tok in head:
+            base, _, p = tok.partition("^")
+            powers[base] += int(p or 1)
+        heat = body.startswith("heat(")
+        if heat:
+            body = body[5:-1]
+        body, _, s = body.partition("|T₋(")
+        return cls(coeff, powers["E4"], powers["E6"], powers["Δ"],
+                   heat, tuple(body.split("·")), int(s[:-1]) if s else 1)
+
+    def text(self) -> str:
+        """The term without its sign."""
+        c = abs(self.coeff)
+        head = "" if c == 1 else str(c) if c.denominator == 1 else f"({c})"
+        for base, p in (("E4", self.e4), ("E6", self.e6), ("Δ", self.delta)):
+            if p:
+                head += base + (str(p).translate(_SUPERSCRIPT) if p > 1 else "")
+        body = "·".join(self.factors)
+        if self.lift > 1:
+            body += f"|T₋({self.lift})"
+        if self.heat:
+            body = f"heat({body})"
+        return f"{head}·{body}" if head else body
 
 
-def _make_x(t: int):
-    def b(n: int) -> JacobiQExpansion:
-        raised = hecke_t_minus(theta_e8(t * n), t, n)
-        return raised.scale(Fraction(1, sigma_pow(t, 3)))
+@dataclass(frozen=True)
+class Recipe:
+    terms: tuple[Term, ...]
+    over_delta: bool = False
+    lead: str = ""  # Σ-label whose q^0 display coefficient is scaled to 1
+    cancel: Term | None = None  # tail term for the q² Σ_{16'} cancellation
 
-    return b
+    def __call__(self, n: int) -> JacobiQExpansion:
+        """Evaluate the recipe to order n."""
+        if self.cancel and n < 2:
+            raise CatalogError(
+                "the cancellation rule reads the q^2 term; build with order >= 2"
+            )
+        k = n + 1 if self.over_delta else n
+        form = _combine([_term(t, k) for t in self.terms])
+        if self.over_delta:
+            form = jf_div_modular(form, _mf(0, 0, 1, k))
+        if self.lead:
+            lam = _display_coeff(form.term(0), self.lead)
+            if not lam:
+                raise CatalogError(
+                    f"normalization failed: no {self.lead} part at q^0"
+                )
+            form = form.scale(1 / lam)
+        if self.cancel:
+            _, tail = _term(self.cancel, n)
+            denom = _display_coeff(tail.term(2), "Σ_{16'}")
+            if not denom:
+                raise CatalogError(
+                    "cancellation target missing from the subtracted form"
+                )
+            lam = _display_coeff(form.term(2), "Σ_{16'}") / denom
+            form = _combine([(Fraction(1), form), (-lam, tail)])
+        return form
+
+    def __str__(self) -> str:
+        out = "".join(
+            f" {'−' if t.coeff < 0 else '+'} {t.text()}" for t in self.terms
+        )
+        out = out[3:] if out.startswith(" + ") else "−" + out[3:]
+        if self.over_delta:
+            out = f"({out}) / Δ"
+        if self.lead:
+            out += ", rescaled"
+        if self.cancel:
+            out += f" − *{self.cancel.text()}"
+        return out
+
+
+def parse_recipe(
+    *terms: str, over_delta: bool = False, lead: str = "", cancel: str = ""
+) -> Recipe:
+    return Recipe(
+        tuple(map(Term.parse, terms)),
+        over_delta,
+        lead,
+        Term.parse(cancel) if cancel else None,
+    )
+
+
+def _term(t: Term, n: int) -> tuple[Fraction, JacobiQExpansion]:
+    """A term at order n, as its coefficient and the form it multiplies."""
+    form = build(t.factors[0], t.lift * n)
+    for name in t.factors[1:]:
+        form = jf_mul(form, build(name, t.lift * n))
+    if t.lift > 1:
+        form = hecke_t_minus(form, t.lift, n)
+    if t.heat:
+        form = heat(form)
+    if t.e4 or t.e6 or t.delta:
+        form = jf_scale(form, _mf(t.e4, t.e6, t.delta, n))
+    return t.coeff, form
+
+
+def _combine(parts: list[tuple[Fraction, JacobiQExpansion]]) -> JacobiQExpansion:
+    """The sum of c·form over the parts, validated once."""
+    (c0, first), *rest = parts
+    if not rest and c0 == 1:
+        return first
+    kind = (first.weight, first.index)
+    if any((f.weight, f.index) != kind for _, f in rest):
+        raise CatalogError("recipe terms disagree in weight or index")
+    order = min(f.order for _, f in parts)
+    terms = []
+    for n in range(order + 1):
+        acc = InvariantElement.zero()
+        for c, f in parts:
+            acc = acc + f.terms[n].scale(c)
+        terms.append(acc)
+    return JacobiQExpansion(*kind, terms)
 
 
 def _b_a4(n: int) -> JacobiQExpansion:
     return rescale_z(theta_e8(n), 2)
-
-
-def _b_phi_m4_2(n: int) -> JacobiQExpansion:
-    th = theta_e8(n + 1)
-    t2 = hecke_t_minus(theta_e8(2 * n + 2), 2, n + 1)
-    num = jf_mul(th, th) - jf_scale(t2, _E(4, n + 1)).scale(Fraction(1, 9))
-    return jf_div_modular(num, _D(n + 1))
-
-
-def _b_phi_m2_2(n: int) -> JacobiQExpansion:
-    return heat(build("phi_-4_2", n)).scale(3)
-
-
-def _b_phi_0_2(n: int) -> JacobiQExpansion:
-    p4 = build("phi_-4_2", n)
-    p2 = build("phi_-2_2", n)
-    return jf_scale(p4, _E(4, n)).scale(Fraction(1, 2)) - heat(p2)
-
-
-def _b_b2(n: int) -> JacobiQExpansion:
-    p4, p2, p0 = (build(x, n) for x in ("phi_-4_2", "phi_-2_2", "phi_0_2"))
-    comb = (
-        jf_scale(p0, _E(6, n)).scale(3)
-        - jf_scale(p4, series_mul(_E(4, n), _E(6, n)))
-        - jf_scale(p2, _mf(2, 0, n))
-    )
-    return comb.scale(Fraction(1, 1080))
-
-
-def _b_u12_2(n: int) -> JacobiQExpansion:
-    return jf_scale(build("phi_0_2", n), _D(n))
-
-
-def _b_v14_2(n: int) -> JacobiQExpansion:
-    p4, p2 = build("phi_-4_2", n), build("phi_-2_2", n)
-    return jf_scale(
-        jf_scale(p4, _E(6, n)) + jf_scale(p2, _E(4, n)), _D(n)
-    ).scale(Fraction(1, 3))
-
-
-def _b_w16_2(n: int) -> JacobiQExpansion:
-    p4, p2 = build("phi_-4_2", n), build("phi_-2_2", n)
-    return jf_scale(
-        jf_scale(p4, _mf(2, 0, n)) + jf_scale(p2, _E(6, n)), _D(n)
-    ).scale(Fraction(1, 3))
-
-
-def _b_bm2_3(n: int) -> JacobiQExpansion:
-    th = theta_e8(n + 1)
-    t3 = hecke_t_minus(theta_e8(3 * n + 3), 3, n + 1)
-    num = jf_mul(th, build("b2", n + 1)) - jf_scale(t3, _E(6, n + 1)).scale(
-        Fraction(1, 28)
-    )
-    return jf_div_modular(num, _D(n + 1)).scale(-5)
-
-
-def _b_phi_m4_3(n: int) -> JacobiQExpansion:
-    th = theta_e8(n + 1)
-    t3 = hecke_t_minus(theta_e8(3 * n + 3), 3, n + 1)
-    num = jf_mul(th, build("x2", n + 1)) - jf_scale(t3, _E(4, n + 1)).scale(
-        Fraction(1, 28)
-    )
-    return jf_div_modular(num, _D(n + 1))
-
-
-def _b_a0_3(n: int) -> JacobiQExpansion:
-    return jf_mul(theta_e8(n), build("phi_-4_2", n))
-
-
-def _b_phi_m2_3(n: int) -> JacobiQExpansion:
-    return heat(build("phi_-4_3", n)).scale(3)
-
-
-def _b_phi_0_3(n: int) -> JacobiQExpansion:
-    a03 = build("a0_3", n)
-    p4 = build("phi_-4_3", n)
-    p2 = build("phi_-2_3", n)
-    return (a03 + jf_scale(p4, _E(4, n)) - heat(p2).scale(2)).scale(
-        Fraction(3, 8)
-    )
-
-
-def _b_phi_m8_3(n: int) -> JacobiQExpansion:
-    k = n + 1
-    p4, p2 = build("phi_-4_3", k), build("phi_-2_3", k)
-    a03, bm2 = build("a0_3", k), build("b_-2_3", k)
-    num = (
-        jf_scale(p4, _mf(2, 0, k))
-        + jf_scale(p2, _E(6, k)).scale(6)
-        - jf_scale(a03, _E(4, k)).scale(2)
-        - jf_scale(bm2, _E(6, k))
-    )
-    quot = jf_div_modular(num, _D(k))
-    lam = _display_coeff(quot.term(0), "Σ_{8'}")
-    if not lam:
-        raise CatalogError("normalization failed: no Σ_{8'} part at q^0")
-    return quot.scale(1 / lam)
-
-
-def _b_phi_m6_3(n: int) -> JacobiQExpansion:
-    return heat(build("phi_-8_3", n)).scale(-3)
 
 
 def _b_b3(n: int) -> JacobiQExpansion:
@@ -325,245 +345,6 @@ def _b_b3(n: int) -> JacobiQExpansion:
     if len(basis) != 1:
         raise CatalogError(f"expected a unique weight-6 form, got {len(basis)}")
     return basis[0].truncate(n)
-
-
-def _b_u10_3(n: int) -> JacobiQExpansion:
-    a3, b3 = build("x3", n), build("b3", n)
-    b2t = jf_mul(build("b2", n), theta_e8(n))
-    return (
-        jf_scale(a3, _E(6, n)).scale(Fraction(-35, 54))
-        + jf_scale(b3, _E(4, n)).scale(Fraction(-50, 27))
-        + b2t.scale(Fraction(5, 2))
-    )
-
-
-def _b_u12_3(n: int) -> JacobiQExpansion:
-    th = theta_e8(n)
-    a2t = jf_mul(build("x2", n), th)
-    th3 = jf_mul(jf_mul(th, th), th)
-    return jf_scale(a2t, _E(4, n)) - th3
-
-
-def _b_v12_3(n: int) -> JacobiQExpansion:
-    return jf_scale(build("phi_0_3", n), _D(n))
-
-
-def _b_u14_3(n: int) -> JacobiQExpansion:
-    p2, p4 = build("phi_-2_3", n), build("phi_-4_3", n)
-    return jf_scale(jf_scale(p2, _E(4, n)) + jf_scale(p4, _E(6, n)), _D(n))
-
-
-def _b_u16_3(n: int) -> JacobiQExpansion:
-    return jf_scale(build("phi_-8_3", n), _D(n, 2))
-
-
-def _b_phi_m14_4(n: int) -> JacobiQExpansion:
-    return heat(build("phi_-16_4", n)).scale(-3)
-
-
-def _b_phi_m12_4(n: int) -> JacobiQExpansion:
-    p16, p14 = build("phi_-16_4", n), build("phi_-14_4", n)
-    return heat(p14).scale(Fraction(-2, 7)) - jf_scale(p16, _E(4, n)).scale(
-        Fraction(1, 7)
-    )
-
-
-def _b_phi_m10_4(n: int) -> JacobiQExpansion:
-    p16, p14, p12 = (
-        build("phi_-16_4", n),
-        build("phi_-14_4", n),
-        build("phi_-12_4", n),
-    )
-    return (
-        heat(p12).scale(Fraction(-4, 9))
-        - (jf_scale(p14, _E(4, n)) - jf_scale(p16, _E(6, n))).scale(
-            Fraction(5, 162)
-        )
-    )
-
-
-def _b_phi_m8_4(n: int) -> JacobiQExpansion:
-    p16, p14, p12, p10 = (
-        build("phi_-16_4", n),
-        build("phi_-14_4", n),
-        build("phi_-12_4", n),
-        build("phi_-10_4", n),
-    )
-    return (
-        heat(p10).scale(Fraction(-3, 5))
-        - jf_scale(p12, _E(4, n)).scale(Fraction(1, 15))
-        + jf_scale(p14, _E(6, n)).scale(Fraction(1, 90))
-        - jf_scale(p16, _mf(2, 0, n)).scale(Fraction(1, 90))
-    )
-
-
-def _b_phi_m6_4(n: int) -> JacobiQExpansion:
-    p16, p14, p12, p10, p8 = (
-        build("phi_-16_4", n),
-        build("phi_-14_4", n),
-        build("phi_-12_4", n),
-        build("phi_-10_4", n),
-        build("phi_-8_4", n),
-    )
-    return (
-        jf_scale(p10, _E(4, n)).scale(Fraction(-1, 2))
-        + jf_scale(p12, _E(6, n)).scale(Fraction(1, 6))
-        - (jf_scale(p14, _mf(2, 0, n)) - jf_scale(p16, _mf(1, 1, n))).scale(
-            Fraction(1, 36)
-        )
-        - heat(p8).scale(4)
-    )
-
-
-def _b_phi_m4_4(n: int) -> JacobiQExpansion:
-    p16, p14, p12, p10, p8, p6 = (
-        build("phi_-16_4", n),
-        build("phi_-14_4", n),
-        build("phi_-12_4", n),
-        build("phi_-10_4", n),
-        build("phi_-8_4", n),
-        build("phi_-6_4", n),
-    )
-    return (
-        jf_scale(p8, _E(4, n)).scale(Fraction(-10, 81))
-        + jf_scale(p10, _E(6, n)).scale(Fraction(5, 81))
-        + (jf_scale(p14, _mf(1, 1, n)) - jf_scale(p16, _mf(3, 0, n))).scale(
-            Fraction(5, 1458)
-        )
-        - jf_scale(p12, _mf(2, 0, n)).scale(Fraction(5, 243))
-        - heat(p6).scale(Fraction(2, 9))
-    )
-
-
-def _b_phi_m2_4(n: int) -> JacobiQExpansion:
-    p16, p14, p12, p10, p8, p6, p4 = (
-        build("phi_-16_4", n),
-        build("phi_-14_4", n),
-        build("phi_-12_4", n),
-        build("phi_-10_4", n),
-        build("phi_-8_4", n),
-        build("phi_-6_4", n),
-        build("phi_-4_4", n),
-    )
-    return (
-        jf_scale(p8, _E(6, n)).scale(Fraction(-5, 9))
-        + jf_scale(p10, _mf(2, 0, n)).scale(Fraction(5, 18))
-        + (jf_scale(p14, _mf(3, 0, n)) - jf_scale(p16, _mf(2, 1, n))).scale(
-            Fraction(5, 324)
-        )
-        - jf_scale(p12, _mf(1, 1, n)).scale(Fraction(5, 54))
-        + jf_scale(p6, _E(4, n)).scale(Fraction(1, 6))
-        + heat(p4).scale(12)
-    )
-
-
-def _b_phi_0_4(n: int) -> JacobiQExpansion:
-    return heat(build("phi_-2_4", n))
-
-
-def _b_psi_m8_4(n: int) -> JacobiQExpansion:
-    k = n + 1
-    x4 = hecke_t_minus(theta_e8(4 * k), 4, k).scale(Fraction(1, 73))
-    num = x4 - rescale_z(theta_e8(k), 2)
-    return jf_div_modular(num, _D(k)).scale(Fraction(73, 72))
-
-
-def _b_b4(n: int) -> JacobiQExpansion:
-    lifted = hecke_t_minus(build("b2", 2 * n), 2, n).scale(Fraction(1, 33))
-    return lifted + jf_scale(build("phi_-6_4", n), _D(n)).scale(Fraction(2, 55))
-
-
-def _b_c8_4(n: int) -> JacobiQExpansion:
-    p16, p14, p12, p10, p8 = (
-        build("phi_-16_4", n),
-        build("phi_-14_4", n),
-        build("phi_-12_4", n),
-        build("phi_-10_4", n),
-        build("phi_-8_4", n),
-    )
-    comb = (
-        jf_scale(p16, _mf(3, 0, n))
-        - jf_scale(p14, _mf(1, 1, n))
-        + jf_scale(p12, _mf(2, 0, n)).scale(6)
-        - jf_scale(p10, _E(6, n)).scale(18)
-        + jf_scale(p8, _E(4, n)).scale(36)
-    )
-    return jf_scale(comb, _D(n)).scale(Fraction(1, 54))
-
-
-def _cancel_sigma16(main: JacobiQExpansion, tail: JacobiQExpansion) -> JacobiQExpansion:
-    """Subtract the multiple of `tail` that kills the q^2 Σ_{16'} coefficient."""
-    if main.order < 2:
-        raise CatalogError(
-            "the cancellation rule reads the q^2 term; build with order >= 2"
-        )
-    denom = _display_coeff(tail.term(2), "Σ_{16'}")
-    if not denom:
-        raise CatalogError("cancellation target missing from the subtracted form")
-    lam = _display_coeff(main.term(2), "Σ_{16'}") / denom
-    return main - tail.scale(lam)
-
-
-def _b_u10_4(n: int) -> JacobiQExpansion:
-    p16, p14, p12, p10, p8, p6 = (
-        build("phi_-16_4", n),
-        build("phi_-14_4", n),
-        build("phi_-12_4", n),
-        build("phi_-10_4", n),
-        build("phi_-8_4", n),
-        build("phi_-6_4", n),
-    )
-    comb = (
-        jf_scale(p16, _mf(2, 1, n))
-        - jf_scale(p14, _mf(3, 0, n))
-        + jf_scale(p12, _mf(1, 1, n)).scale(6)
-        - jf_scale(p10, _mf(2, 0, n)).scale(18)
-        + jf_scale(p8, _E(6, n)).scale(36)
-        - jf_scale(p6, _E(4, n)).scale(Fraction(54, 5))
-    )
-    main = jf_scale(comb, _D(n)).scale(Fraction(-5, 324))
-    tail = jf_scale(p14, _D(n, 2))
-    return _cancel_sigma16(main, tail)
-
-
-def _b_u12_4(n: int) -> JacobiQExpansion:
-    p16, p14, p12, p10, p8, p6 = (
-        build("phi_-16_4", n),
-        build("phi_-14_4", n),
-        build("phi_-12_4", n),
-        build("phi_-10_4", n),
-        build("phi_-8_4", n),
-        build("phi_-6_4", n),
-    )
-    comb = (
-        jf_scale(p16, _mf(1, 2, n))
-        - jf_scale(p14, _mf(2, 1, n))
-        + jf_scale(p12, _mf(0, 2, n)).scale(6)
-        - jf_scale(p10, _mf(1, 1, n)).scale(18)
-        + jf_scale(p8, _mf(2, 0, n)).scale(36)
-        - jf_scale(p6, _E(6, n)).scale(Fraction(54, 5))
-    )
-    main = jf_scale(comb, _D(n)).scale(Fraction(-5, 324))
-    tail = jf_scale(jf_scale(p16, _E(4, n)), _D(n, 2))
-    return _cancel_sigma16(main, tail)
-
-
-def _b_cusp_8_4(n: int) -> JacobiQExpansion:
-    main = jf_scale(build("phi_-4_4", n), _D(n))
-    tail = jf_scale(build("phi_-16_4", n), _D(n, 2))
-    return _cancel_sigma16(main, tail)
-
-
-def _b_cusp_10_4(n: int) -> JacobiQExpansion:
-    main = jf_scale(build("phi_-2_4", n), _D(n))
-    tail = jf_scale(build("phi_-14_4", n), _D(n, 2))
-    return _cancel_sigma16(main, tail)
-
-
-def _b_cusp_12_4(n: int) -> JacobiQExpansion:
-    main = jf_scale(build("phi_0_4", n), _D(n))
-    tail = jf_scale(jf_scale(build("phi_-16_4", n), _E(4, n)), _D(n, 2))
-    return _cancel_sigma16(main, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +360,7 @@ class RegistryEntry:
     expected_class: str
     normalization: str = ""
     display: str = ""
-    default_order: int | None = None
-    builder: object = None
+    builder: object = None  # order -> JacobiQExpansion: a Recipe or a function
 
     @property
     def buildable(self) -> bool:
@@ -599,141 +379,145 @@ class RegistryEntry:
         }
 
 
+def _form(name, weight, index, expected_class, *terms, normalization="",
+          display="", over_delta=False, lead="", cancel="") -> RegistryEntry:
+    """A registry entry whose builder and recipe text come from one recipe."""
+    recipe = parse_recipe(*terms, over_delta=over_delta, lead=lead, cancel=cancel)
+    if lead:
+        normalization = f"q^0 coefficient of {lead} is 1"
+    if cancel:
+        normalization = "* cancels the q² Σ_{16'} coefficient"
+    return RegistryEntry(name, weight, index, str(recipe), expected_class,
+                         normalization, display, builder=recipe)
+
+
 def _entries() -> list[RegistryEntry]:
-    E = RegistryEntry
-    out = [
+    E, F = RegistryEntry, _form
+    z4, z6 = "z=0 value is E4", "z=0 value is E6"
+    return [
         E("theta_e8", 4, 1, "lattice theta series", "holomorphic",
-          display="1 + qΣ_2 + O(q²)", builder=_b_theta),
-        E("x1", 4, 1, "theta_e8 (index-raising at s=1 is the identity)",
-          "holomorphic", display="1 + qΣ_2 + O(q²)", builder=_b_theta),
-        E("x2", 4, 2, "(1/9)·θ|T₋(2)", "holomorphic",
-          normalization="z=0 value is E4", display="1 + qΣ_4 + O(q²)",
-          builder=_make_x(2)),
-        E("x3", 4, 3, "(1/28)·θ|T₋(3)", "holomorphic",
-          normalization="z=0 value is E4", display="1 + qΣ_6 + O(q²)",
-          builder=_make_x(3)),
-        E("x4", 4, 4, "(1/73)·θ|T₋(4)", "holomorphic",
-          normalization="z=0 value is E4", builder=_make_x(4)),
-        E("a1", 4, 1, "alias of x1", "holomorphic",
-          display="1 + qΣ_2 + O(q²)", builder=_b_theta),
-        E("a2", 4, 2, "alias of x2", "holomorphic",
-          normalization="z=0 value is E4", display="1 + qΣ_4 + O(q²)",
-          builder=_make_x(2)),
-        E("a3", 4, 3, "alias of x3", "holomorphic",
-          normalization="z=0 value is E4", display="1 + qΣ_6 + O(q²)",
-          builder=_make_x(3)),
+          display="1 + qΣ_2 + O(q²)", builder=theta_e8),
+        F("x2", 4, 2, "holomorphic", "1/9 theta_e8|T₋(2)", normalization=z4,
+          display="1 + qΣ_4 + O(q²)"),
+        F("x3", 4, 3, "holomorphic", "1/28 theta_e8|T₋(3)", normalization=z4,
+          display="1 + qΣ_6 + O(q²)"),
+        F("x4", 4, 4, "holomorphic", "1/73 theta_e8|T₋(4)", normalization=z4),
         E("a4", 4, 4, "θ(τ, 2z)", "holomorphic",
           display="1 + qΣ_{8''} + O(q²)", builder=_b_a4),
         # --- index 2
-        E("phi_-4_2", -4, 2, "(θ² − (1/9)E4·(θ|T₋(2))) / Δ", "weak",
-          display="2Σ_2 − Σ_4 − 240 + O(q)", builder=_b_phi_m4_2),
-        E("phi_-2_2", -2, 2, "3·heat(phi_-4_2)", "weak",
-          display="Σ_2 + Σ_4 − 480 + O(q)", builder=_b_phi_m2_2),
-        E("phi_0_2", 0, 2, "(1/2)E4·phi_-4_2 − heat(phi_-2_2)", "weak",
-          display="Σ_2 + 120 + O(q)", builder=_b_phi_0_2),
-        E("b2", 6, 2, "(1/1080)(3E6·phi_0_2 − E4E6·phi_-4_2 − E4²·phi_-2_2)",
-          "holomorphic", normalization="z=0 value is E6", builder=_b_b2),
-        E("u12_2", 12, 2, "Δ·phi_0_2", "cusp",
-          display="q(Σ_2 + 120) + O(q²)", builder=_b_u12_2),
-        E("v14_2", 14, 2, "(1/3)Δ(E6·phi_-4_2 + E4·phi_-2_2)", "cusp",
-          display="q(Σ_2 − 240) + O(q²)", builder=_b_v14_2),
-        E("w16_2", 16, 2, "(1/3)Δ(E4²·phi_-4_2 + E6·phi_-2_2)", "cusp",
-          display="q(Σ_2 − 240) + O(q²)", builder=_b_w16_2),
+        F("phi_-4_2", -4, 2, "weak",
+          "theta_e8·theta_e8", "-1/9 E4 theta_e8|T₋(2)", over_delta=True,
+          display="2Σ_2 − Σ_4 − 240 + O(q)"),
+        F("phi_-2_2", -2, 2, "weak", "3 heat(phi_-4_2)",
+          display="Σ_2 + Σ_4 − 480 + O(q)"),
+        F("phi_0_2", 0, 2, "weak", "1/2 E4 phi_-4_2", "-1 heat(phi_-2_2)",
+          display="Σ_2 + 120 + O(q)"),
+        F("b2", 6, 2, "holomorphic", "1/360 E6 phi_0_2",
+          "-1/1080 E4 E6 phi_-4_2", "-1/1080 E4^2 phi_-2_2", normalization=z6),
+        F("u12_2", 12, 2, "cusp", "Δ phi_0_2",
+          display="q(Σ_2 + 120) + O(q²)"),
+        F("v14_2", 14, 2, "cusp", "1/3 E6 Δ phi_-4_2", "1/3 E4 Δ phi_-2_2",
+          display="q(Σ_2 − 240) + O(q²)"),
+        F("w16_2", 16, 2, "cusp", "1/3 E4^2 Δ phi_-4_2", "1/3 E6 Δ phi_-2_2",
+          display="q(Σ_2 − 240) + O(q²)"),
         # --- index 3
-        E("b_-2_3", -2, 3, "−5(θ·b2 − (1/28)E6·(θ|T₋(3))) / Δ", "weak",
-          display="3Σ_2 + 3Σ_4 + 5Σ_6 − 2640 + O(q)", builder=_b_bm2_3),
-        E("phi_-4_3", -4, 3, "(θ·x2 − (1/28)E4·(θ|T₋(3))) / Δ", "weak",
-          display="Σ_2 + Σ_4 − Σ_6 − 240 + O(q)", builder=_b_phi_m4_3),
-        E("a0_3", 0, 3, "θ·phi_-4_2", "weak",
-          display="2Σ_2 − Σ_4 − 240 + O(q)", builder=_b_a0_3),
-        E("phi_-2_3", -2, 3, "3·heat(phi_-4_3)", "weak",
-          display="Σ_2 + Σ_6 − 480 + O(q)", builder=_b_phi_m2_3),
-        E("phi_0_3", 0, 3, "(3/8)(a0_3 + E4·phi_-4_3 − 2·heat(phi_-2_3))",
-          "weak", display="Σ_2 + O(q)", builder=_b_phi_0_3),
-        E("phi_-8_3", -8, 3,
-          "(E4²·phi_-4_3 + 6E6·phi_-2_3 − 2E4·a0_3 − E6·b_-2_3) / Δ, rescaled",
-          "weak", normalization="q^0 coefficient of Σ_{8'} is 1",
-          display="Σ_{8'} − 4Σ_6 + 6Σ_4 − 4Σ_2 + 240 + O(q)",
-          builder=_b_phi_m8_3),
-        E("phi_-6_3", -6, 3, "−3·heat(phi_-8_3)", "weak",
-          display="Σ_{8'} − 6Σ_4 + 8Σ_2 − 720 + O(q)", builder=_b_phi_m6_3),
+        F("b_-2_3", -2, 3, "weak",
+          "-5 theta_e8·b2", "5/28 E6 theta_e8|T₋(3)", over_delta=True,
+          display="3Σ_2 + 3Σ_4 + 5Σ_6 − 2640 + O(q)"),
+        F("phi_-4_3", -4, 3, "weak",
+          "theta_e8·x2", "-1/28 E4 theta_e8|T₋(3)", over_delta=True,
+          display="Σ_2 + Σ_4 − Σ_6 − 240 + O(q)"),
+        F("a0_3", 0, 3, "weak", "theta_e8·phi_-4_2",
+          display="2Σ_2 − Σ_4 − 240 + O(q)"),
+        F("phi_-2_3", -2, 3, "weak", "3 heat(phi_-4_3)",
+          display="Σ_2 + Σ_6 − 480 + O(q)"),
+        F("phi_0_3", 0, 3, "weak",
+          "3/8 a0_3", "3/8 E4 phi_-4_3", "-3/4 heat(phi_-2_3)",
+          display="Σ_2 + O(q)"),
+        F("phi_-8_3", -8, 3, "weak",
+          "E4^2 phi_-4_3", "6 E6 phi_-2_3", "-2 E4 a0_3", "-1 E6 b_-2_3",
+          over_delta=True, lead="Σ_{8'}",
+          display="Σ_{8'} − 4Σ_6 + 6Σ_4 − 4Σ_2 + 240 + O(q)"),
+        F("phi_-6_3", -6, 3, "weak", "-3 heat(phi_-8_3)",
+          display="Σ_{8'} − 6Σ_4 + 8Σ_2 − 720 + O(q)"),
         E("b3", 6, 3, "unique holomorphic weight-6 index-3 form", "holomorphic",
-          normalization="z=0 value is E6", builder=_b_b3),
-        E("u10_3", 10, 3, "−(35/54)E6·x3 − (50/27)E4·b3 + (5/2)·b2·θ", "cusp",
-          display="q(Σ_4 − (2/3)Σ_2 − 80) + O(q²)", builder=_b_u10_3),
-        E("u12_3", 12, 3, "E4·x2·θ − θ³", "cusp",
-          display="q(Σ_4 − 2Σ_2 + 240) + O(q²)", builder=_b_u12_3),
-        E("v12_3", 12, 3, "Δ·phi_0_3", "cusp",
-          display="qΣ_2 + O(q²)", builder=_b_v12_3),
-        E("u14_3", 14, 3, "Δ(E4·phi_-2_3 + E6·phi_-4_3)", "cusp",
-          display="q(Σ_4 + 2Σ_2 − 720) + O(q²)", builder=_b_u14_3),
-        E("u16_3", 16, 3, "Δ²·phi_-8_3", "cusp", builder=_b_u16_3),
+          normalization=z6, builder=_b_b3),
+        F("u10_3", 10, 3, "cusp",
+          "-35/54 E6 x3", "-50/27 E4 b3", "5/2 b2·theta_e8",
+          display="q(Σ_4 − (2/3)Σ_2 − 80) + O(q²)"),
+        F("u12_3", 12, 3, "cusp",
+          "E4 x2·theta_e8", "-1 theta_e8·theta_e8·theta_e8",
+          display="q(Σ_4 − 2Σ_2 + 240) + O(q²)"),
+        F("v12_3", 12, 3, "cusp", "Δ phi_0_3", display="qΣ_2 + O(q²)"),
+        F("u14_3", 14, 3, "cusp", "E4 Δ phi_-2_3", "E6 Δ phi_-4_3",
+          display="q(Σ_4 + 2Σ_2 − 720) + O(q²)"),
+        F("u16_3", 16, 3, "cusp", "Δ^2 phi_-8_3"),
         # --- index 4
         E("phi_-16_4", -16, 4, "theta-quotient projection", "weak",
           normalization="q^0 coefficient of Σ_{16'} is 1",
           display="Σ_{16'} − 8Σ_{14'} + 28Σ_{12} − 56Σ_{10} + 14Σ_{8''} + "
                   "56Σ_{8'} − 56Σ_6 + 28Σ_4 − 8Σ_2 + 240 + O(q)",
           builder=build_phi16_4),
-        E("phi_-14_4", -14, 4, "−3·heat(phi_-16_4)", "weak",
-          builder=_b_phi_m14_4),
-        E("phi_-12_4", -12, 4, "−(2/7)heat(phi_-14_4) − (1/7)E4·phi_-16_4",
-          "weak", builder=_b_phi_m12_4),
-        E("phi_-10_4", -10, 4,
-          "−(4/9)heat(phi_-12_4) − (5/162)(E4·phi_-14_4 − E6·phi_-16_4)",
-          "weak", builder=_b_phi_m10_4),
-        E("phi_-8_4", -8, 4,
-          "−(3/5)heat(phi_-10_4) − (1/15)E4·phi_-12_4 + (1/90)E6·phi_-14_4 "
-          "− (1/90)E4²·phi_-16_4", "weak", builder=_b_phi_m8_4),
-        E("phi_-6_4", -6, 4,
-          "−(1/2)E4·phi_-10_4 + (1/6)E6·phi_-12_4 − (1/36)(E4²·phi_-14_4 − "
-          "E4E6·phi_-16_4) − 4·heat(phi_-8_4)", "weak", builder=_b_phi_m6_4),
-        E("phi_-4_4", -4, 4,
-          "−(10/81)E4·phi_-8_4 + (5/81)E6·phi_-10_4 + (5/1458)(E4E6·phi_-14_4 "
-          "− E4³·phi_-16_4) − (5/243)E4²·phi_-12_4 − (2/9)heat(phi_-6_4)",
-          "weak", display="Σ_6 − 2Σ_4 + Σ_2 + O(q)", builder=_b_phi_m4_4),
-        E("phi_-2_4", -2, 4,
-          "−(5/9)E6·phi_-8_4 + (5/18)E4²·phi_-10_4 + (5/324)(E4³·phi_-14_4 − "
-          "E4²E6·phi_-16_4) − (5/54)E4E6·phi_-12_4 + (1/6)E4·phi_-6_4 + "
-          "12·heat(phi_-4_4)", "weak",
-          display="−7Σ_4 + 8Σ_2 − 240 + O(q)", builder=_b_phi_m2_4),
-        E("phi_0_4", 0, 4, "heat(phi_-2_4)", "weak",
-          display="2Σ_2 − 120 + O(q)", builder=_b_phi_0_4),
-        E("psi_-8_4", -8, 4, "(73/72)((1/73)θ|T₋(4) − θ(τ,2z)) / Δ", "weak",
-          display="Σ_{8'} − Σ_{8''} + O(q)", builder=_b_psi_m8_4),
-        E("b4", 6, 4, "(1/33)·b2|T₋(2) + (2/55)Δ·phi_-6_4", "holomorphic",
-          builder=_b_b4),
-        E("c8_4", 8, 4,
-          "(1/54)Δ(E4³·phi_-16_4 − E4E6·phi_-14_4 + 6E4²·phi_-12_4 − "
-          "18E6·phi_-10_4 + 36E4·phi_-8_4)", "holomorphic", builder=_b_c8_4),
-        E("u10_4", 10, 4,
-          "−(5/324)Δ(E4²E6·phi_-16_4 − E4³·phi_-14_4 + 6E4E6·phi_-12_4 − "
-          "18E4²·phi_-10_4 + 36E6·phi_-8_4 − (54/5)E4·phi_-6_4) − *Δ²·phi_-14_4",
-          "cusp", normalization="* cancels the q² Σ_{16'} coefficient",
-          builder=_b_u10_4),
-        E("u12_4", 12, 4,
-          "−(5/324)Δ(E4E6²·phi_-16_4 − E4²E6·phi_-14_4 + 6E6²·phi_-12_4 − "
-          "18E4E6·phi_-10_4 + 36E4²·phi_-8_4 − (54/5)E6·phi_-6_4) − *Δ²E4·phi_-16_4",
-          "cusp", normalization="* cancels the q² Σ_{16'} coefficient",
-          builder=_b_u12_4),
-        E("cusp_8_4", 8, 4, "Δ·phi_-4_4 − *Δ²·phi_-16_4", "cusp",
-          normalization="* cancels the q² Σ_{16'} coefficient",
-          builder=_b_cusp_8_4),
-        E("cusp_10_4", 10, 4, "Δ·phi_-2_4 − *Δ²·phi_-14_4", "cusp",
-          normalization="* cancels the q² Σ_{16'} coefficient",
-          builder=_b_cusp_10_4),
-        E("cusp_12_4", 12, 4, "Δ·phi_0_4 − *Δ²E4·phi_-16_4", "cusp",
-          normalization="* cancels the q² Σ_{16'} coefficient",
-          builder=_b_cusp_12_4),
+        F("phi_-14_4", -14, 4, "weak", "-3 heat(phi_-16_4)"),
+        F("phi_-12_4", -12, 4, "weak",
+          "-2/7 heat(phi_-14_4)", "-1/7 E4 phi_-16_4"),
+        F("phi_-10_4", -10, 4, "weak",
+          "-4/9 heat(phi_-12_4)", "-5/162 E4 phi_-14_4", "5/162 E6 phi_-16_4"),
+        F("phi_-8_4", -8, 4, "weak",
+          "-3/5 heat(phi_-10_4)", "-1/15 E4 phi_-12_4", "1/90 E6 phi_-14_4",
+          "-1/90 E4^2 phi_-16_4"),
+        F("phi_-6_4", -6, 4, "weak",
+          "-1/2 E4 phi_-10_4", "1/6 E6 phi_-12_4", "-1/36 E4^2 phi_-14_4",
+          "1/36 E4 E6 phi_-16_4", "-4 heat(phi_-8_4)"),
+        F("phi_-4_4", -4, 4, "weak",
+          "-10/81 E4 phi_-8_4", "5/81 E6 phi_-10_4", "5/1458 E4 E6 phi_-14_4",
+          "-5/1458 E4^3 phi_-16_4", "-5/243 E4^2 phi_-12_4",
+          "-2/9 heat(phi_-6_4)",
+          display="Σ_6 − 2Σ_4 + Σ_2 + O(q)"),
+        F("phi_-2_4", -2, 4, "weak",
+          "-5/9 E6 phi_-8_4", "5/18 E4^2 phi_-10_4", "5/324 E4^3 phi_-14_4",
+          "-5/324 E4^2 E6 phi_-16_4", "-5/54 E4 E6 phi_-12_4",
+          "1/6 E4 phi_-6_4", "12 heat(phi_-4_4)",
+          display="−7Σ_4 + 8Σ_2 − 240 + O(q)"),
+        F("phi_0_4", 0, 4, "weak", "heat(phi_-2_4)",
+          display="2Σ_2 − 120 + O(q)"),
+        F("psi_-8_4", -8, 4, "weak",
+          "1/72 theta_e8|T₋(4)", "-73/72 a4", over_delta=True,
+          display="Σ_{8'} − Σ_{8''} + O(q)"),
+        F("b4", 6, 4, "holomorphic", "1/33 b2|T₋(2)", "2/55 Δ phi_-6_4"),
+        F("c8_4", 8, 4, "holomorphic",
+          "1/54 E4^3 Δ phi_-16_4", "-1/54 E4 E6 Δ phi_-14_4",
+          "1/9 E4^2 Δ phi_-12_4", "-1/3 E6 Δ phi_-10_4", "2/3 E4 Δ phi_-8_4"),
+        F("u10_4", 10, 4, "cusp",
+          "-5/324 E4^2 E6 Δ phi_-16_4", "5/324 E4^3 Δ phi_-14_4",
+          "-5/54 E4 E6 Δ phi_-12_4", "5/18 E4^2 Δ phi_-10_4",
+          "-5/9 E6 Δ phi_-8_4", "1/6 E4 Δ phi_-6_4",
+          cancel="Δ^2 phi_-14_4"),
+        F("u12_4", 12, 4, "cusp",
+          "-5/324 E4 E6^2 Δ phi_-16_4", "5/324 E4^2 E6 Δ phi_-14_4",
+          "-5/54 E6^2 Δ phi_-12_4", "5/18 E4 E6 Δ phi_-10_4",
+          "-5/9 E4^2 Δ phi_-8_4", "1/6 E6 Δ phi_-6_4",
+          cancel="E4 Δ^2 phi_-16_4"),
+        F("cusp_8_4", 8, 4, "cusp", "Δ phi_-4_4", cancel="Δ^2 phi_-16_4"),
+        F("cusp_10_4", 10, 4, "cusp", "Δ phi_-2_4", cancel="Δ^2 phi_-14_4"),
+        F("cusp_12_4", 12, 4, "cusp", "Δ phi_0_4", cancel="E4 Δ^2 phi_-16_4"),
         # --- declared, not constructible at this scope
         E("x5", 4, 5, "declared only", "holomorphic"),
         E("x6", 4, 6, "declared only", "holomorphic"),
         E("a5", 4, 5, "declared only", "holomorphic"),
         E("b6", 6, 6, "declared only", "holomorphic"),
     ]
-    return out
 
+
+# Other names of catalog forms; `build` resolves them before its cache, so an
+# alias and its target share one cached object.
+_ALIASES = {"x1": "theta_e8", "a1": "theta_e8", "a2": "x2", "a3": "x3"}
 
 REGISTRY: dict[str, RegistryEntry] = {e.name: e for e in _entries()}
+REGISTRY.update(
+    (alias, replace(REGISTRY[target], name=alias, recipe=f"alias of {target}"))
+    for alias, target in _ALIASES.items()
+)
 
 _build_cache: dict[tuple[str, int], JacobiQExpansion] = {}
 
@@ -744,6 +528,7 @@ def default_order(index: int) -> int:
 
 def build(name: str, order: int | None = None) -> JacobiQExpansion:
     """Build a registry form to the requested order (default 3, or 2 at index 4)."""
+    name = _ALIASES.get(name, name)
     entry = REGISTRY.get(name)
     if entry is None:
         known = ", ".join(sorted(REGISTRY))
@@ -761,13 +546,12 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
     form = entry.builder(order)
     if form.order > order:
         form = form.truncate(order)
-    assert (form.weight, form.index, form.order) == (
-        entry.weight,
-        entry.index,
-        order,
-    ), f"builder contract broken for {name}"
+    if (form.weight, form.index, form.order) != (entry.weight, entry.index, order):
+        raise CatalogError(f"builder contract broken for {name}")
     _build_cache[key] = form
     return form
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +656,7 @@ def _weight_candidates(weight: int, t: int, order: int) -> list[JacobiQExpansion
     for gname in _WEAK_GEN_NAMES[t]:
         g = build(gname, order)
         for a4, a6 in _monomials(weight - g.weight):
-            cands.append(jf_scale(g, _mf(a4, a6, order)))
+            cands.append(jf_scale(g, _mf(a4, a6, 0, order)))
     return cands
 
 
@@ -961,7 +745,10 @@ def verify_free_module(
     for w in range(start, max_weight + 1, 2):
         cands = _weight_candidates(w, t, order)
         expected = sum(dim_modular(w - g.weight) for g in gens)
-        assert len(cands) == expected
+        if len(cands) != expected:
+            raise CatalogError(
+                f"weight {w}: {len(cands)} candidates, free-module count {expected}"
+            )
         if not cands:
             report.rows.append((w, 0, 0, True, ""))
             continue
@@ -1059,62 +846,57 @@ def pullback_max_table() -> list[tuple[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Distinguished bases for the holomorphic and cusp subspaces
+# Distinguished bases for the holomorphic and cusp subspaces: (label, *terms)
+
+_HOLOMORPHIC_BASES = {
+    3: (
+        ("x3", "x3"),
+        ("b3", "b3"),
+        ("x2*theta", "x2·theta_e8"),
+        ("b2*theta", "b2·theta_e8"),
+        ("theta^3", "theta_e8·theta_e8·theta_e8"),
+    ),
+    4: (
+        ("a4", "a4"),
+        ("delta*psi_-8_4", "Δ psi_-8_4"),
+        ("b4", "b4"),
+        ("delta*phi_-6_4", "Δ phi_-6_4"),
+        ("c8_4", "c8_4"),
+        ("delta*phi_-4_4", "Δ phi_-4_4"),
+        ("delta^2*phi_-16_4", "Δ^2 phi_-16_4"),
+        ("delta*phi_-2_4", "Δ phi_-2_4"),
+        ("delta^2*phi_-14_4", "Δ^2 phi_-14_4"),
+        ("delta^2*phi_-12_4", "Δ^2 phi_-12_4"),
+    ),
+}
+
+_CUSP_BASES = {
+    3: tuple((n, n) for n in ("u10_3", "u12_3", "v12_3", "u14_3", "u16_3")),
+    4: (
+        *((n, n) for n in ("cusp_8_4", "cusp_10_4", "u10_4", "cusp_12_4", "u12_4")),
+        ("delta^2*phi_-12_4", "Δ^2 phi_-12_4"),
+        ("delta^2*(E4*phi_-14_4 - E6*phi_-16_4)",
+         "E4 Δ^2 phi_-14_4", "-1 E6 Δ^2 phi_-16_4"),
+        ("delta^2*phi_-10_4", "Δ^2 phi_-10_4"),
+        ("delta^2*phi_-8_4", "Δ^2 phi_-8_4"),
+        ("delta^2*psi_-8_4", "Δ^2 psi_-8_4"),
+    ),
+}
+
+
+def _basis(table, t: int, order: int | None):
+    if t not in table:
+        raise ValueError("distinguished bases are tabulated for t in {3, 4}")
+    if order is None:
+        order = default_order(t)
+    return [(label, parse_recipe(*terms)(order)) for label, *terms in table[t]]
 
 
 def holomorphic_basis(t: int, order: int | None = None):
     """Named generating set of the holomorphic forms over the modular ring."""
-    if order is None:
-        order = default_order(t)
-    if t == 3:
-        th = theta_e8(order)
-        return [
-            ("x3", build("x3", order)),
-            ("b3", build("b3", order)),
-            ("x2*theta", jf_mul(build("x2", order), th)),
-            ("b2*theta", jf_mul(build("b2", order), th)),
-            ("theta^3", jf_mul(jf_mul(th, th), th)),
-        ]
-    if t == 4:
-        return [
-            ("a4", build("a4", order)),
-            ("delta*psi_-8_4", jf_scale(build("psi_-8_4", order), _D(order))),
-            ("b4", build("b4", order)),
-            ("delta*phi_-6_4", jf_scale(build("phi_-6_4", order), _D(order))),
-            ("c8_4", build("c8_4", order)),
-            ("delta*phi_-4_4", jf_scale(build("phi_-4_4", order), _D(order))),
-            ("delta^2*phi_-16_4", jf_scale(build("phi_-16_4", order), _D(order, 2))),
-            ("delta*phi_-2_4", jf_scale(build("phi_-2_4", order), _D(order))),
-            ("delta^2*phi_-14_4", jf_scale(build("phi_-14_4", order), _D(order, 2))),
-            ("delta^2*phi_-12_4", jf_scale(build("phi_-12_4", order), _D(order, 2))),
-        ]
-    raise ValueError("distinguished bases are tabulated for t in {3, 4}")
+    return _basis(_HOLOMORPHIC_BASES, t, order)
 
 
 def cusp_basis(t: int, order: int | None = None):
     """Named generating set of the cusp forms over the modular ring."""
-    if order is None:
-        order = default_order(t)
-    if t == 3:
-        return [(n, build(n, order)) for n in
-                ("u10_3", "u12_3", "v12_3", "u14_3", "u16_3")]
-    if t == 4:
-        p16 = build("phi_-16_4", order)
-        p14 = build("phi_-14_4", order)
-        mixed = jf_scale(
-            jf_scale(p14, _E(4, order)) - jf_scale(p16, _E(6, order)),
-            _D(order, 2),
-        )
-        return [
-            ("cusp_8_4", build("cusp_8_4", order)),
-            ("cusp_10_4", build("cusp_10_4", order)),
-            ("u10_4", build("u10_4", order)),
-            ("cusp_12_4", build("cusp_12_4", order)),
-            ("u12_4", build("u12_4", order)),
-            ("delta^2*phi_-12_4", jf_scale(build("phi_-12_4", order), _D(order, 2))),
-            ("delta^2*(E4*phi_-14_4 - E6*phi_-16_4)", mixed),
-            ("delta^2*phi_-10_4", jf_scale(build("phi_-10_4", order), _D(order, 2))),
-            ("delta^2*phi_-8_4", jf_scale(build("phi_-8_4", order), _D(order, 2))),
-            ("delta^2*psi_-8_4", jf_scale(build("psi_-8_4", order), _D(order, 2))),
-        ]
-    raise ValueError("distinguished bases are tabulated for t in {3, 4}")
+    return _basis(_CUSP_BASES, t, order)

@@ -17,13 +17,11 @@ from .catalog import (
     build,
     dimension_bound_table,
     holomorphic_subspace,
+    parse_recipe,
     pullback_max_table,
     rank_series,
     solve_cascade,
     verify_free_module,
-    _D,
-    _E,
-    _mf,
 )
 from .e8 import (
     BUDGET_ENV,
@@ -36,9 +34,6 @@ from .invring import sigma_label
 from .jacobi import (
     check_quasi_periodicity,
     classify,
-    jf_mul,
-    jf_scale,
-    theta_e8,
     weight0_identity,
 )
 from .qseries import format_rational, sigma_pow
@@ -280,17 +275,12 @@ def _suite_systems():
 
 def _suite_identities():
     N = 10
-    th = theta_e8(N)
-    p4, p2, p0 = (build(x, N) for x in ("phi_-4_2", "phi_-2_2", "phi_0_2"))
-    inner = (
-        jf_scale(p0, _E(4, N)).scale(3)
-        - jf_scale(p4, _mf(2, 0, N))
-        - jf_scale(p2, _E(6, N))
-    )
-    rhs = jf_scale(inner, _E(4, N)).scale(Fraction(1, 1080)) + jf_scale(
-        p4, _D(N)
-    )
-    ok = jf_mul(th, th) == rhs
+    lhs = parse_recipe("theta_e8·theta_e8")(N)
+    rhs = parse_recipe(
+        "1/360 E4^2 phi_0_2", "-1/1080 E4^3 phi_-4_2",
+        "-1/1080 E4 E6 phi_-2_2", "Δ phi_-4_2",
+    )(N)
+    ok = lhs == rhs
     return [("identities: θ² relation through q^10", ok,
              "" if ok else "mismatch")]
 
@@ -509,6 +499,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    saved = os.environ.get(BUDGET_ENV)
     if args.budget is not None:
         os.environ[BUDGET_ENV] = str(args.budget)
     try:
@@ -516,6 +507,12 @@ def main(argv=None) -> int:
     except (BudgetError, CatalogError, KeyError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the budget holds for this call only
+        if saved is None:
+            os.environ.pop(BUDGET_ENV, None)
+        else:
+            os.environ[BUDGET_ENV] = saved
 
 
 if __name__ == "__main__":

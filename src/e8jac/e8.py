@@ -389,7 +389,8 @@ def orbit_size(m: DominantWeight) -> int:
     if key not in _size_cache:
         stab = _stabilizer_order(m.fw)
         q, r = divmod(WEYL_ORDER, stab)
-        assert r == 0
+        if r:
+            raise RuntimeError(f"stabilizer order {stab} does not divide |W|")
         _size_cache[key] = q
     return _size_cache[key]
 
@@ -493,7 +494,8 @@ def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
     out = [(m, orbit_size(m)) for m in sorted(reps)]
     total = sum(s for _, s in out)
     expect = 1 if two_n == 0 else 240 * sigma_pow(two_n // 2, 3)
-    assert total == expect, f"shell {two_n}: {total} points, expected {expect}"
+    if total != expect:
+        raise RuntimeError(f"shell {two_n}: {total} points, expected {expect}")
     _shell_cache[two_n] = out
     return list(out)
 
@@ -601,7 +603,8 @@ def coset_min_norm(l: E8Vector, t: int) -> int:
         val = int(_decode_scaled(A, t)[0])
         best = val if best is None else min(best, val)
     q, r = divmod(best, 4)
-    assert r == 0, "scaled minimum must be divisible by 4"
+    if r:
+        raise RuntimeError("scaled minimum must be divisible by 4")
     return q
 
 
@@ -631,8 +634,10 @@ def max_coset_min_norm(t: int) -> int:
             scaled = val if scaled is None else np.minimum(scaled, val)
         m = int(scaled.max())
         best = max(best, m)
-    assert best % 4 == 0
-    return best // 4
+    q, r = divmod(best, 4)
+    if r:
+        raise RuntimeError("scaled minimum must be divisible by 4")
+    return q
 
 
 def max_pairing(m: DominantWeight, two_n: int, budget: int | None = None) -> int:

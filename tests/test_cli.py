@@ -159,10 +159,31 @@ def test_verify_rejects_unknown_suite(capsys):
 
 
 def test_budget_flag_sets_environment(capsys, monkeypatch):
+    # the flag holds for the duration of its own call, then the previous
+    # value comes back
+    import e8jac.cli as cli
+
+    seen = []
+
+    def rank_series(t_max):
+        seen.append(os.environ[BUDGET_ENV])
+        return list(range(t_max + 1))
+
+    monkeypatch.setattr(cli, "rank_series", rank_series)
     monkeypatch.setenv(BUDGET_ENV, "2000000")
     code, _, _ = run(capsys, "--budget", "3000000", "rank", "--max", "3")
     assert code == 0
-    assert os.environ[BUDGET_ENV] == "3000000"
+    assert seen == ["3000000"]
+    assert os.environ[BUDGET_ENV] == "2000000"
+
+
+def test_budget_flag_does_not_leak_into_later_calls(capsys, monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    code, _, _ = run(capsys, "--budget", "100", "rank", "--max", "2")
+    assert code == 0
+    assert BUDGET_ENV not in os.environ
+    code, _, err = run(capsys, "expand", "--form", "phi_-4_2", "--order", "1")
+    assert code == 0, err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -279,6 +279,36 @@ def test_shell_rejects_odd():
         shell(3)
 
 
+def test_shell_certification_is_an_exception(monkeypatch):
+    # the theta-identity count must raise, not assert, so it fires under -O
+    full = e8jac.e8._dominant_of_norm
+    monkeypatch.setattr(e8jac.e8, "_dominant_of_norm",
+                        lambda two_n: full(two_n)[1:])
+    monkeypatch.setattr(e8jac.e8, "_shell_cache", {})
+    with pytest.raises(RuntimeError, match="shell 8"):
+        shell(8)
+
+
+def test_shell_certification_fires_under_optimize():
+    code = (
+        "import e8jac.e8 as e8\n"
+        "full = e8._dominant_of_norm\n"
+        "e8._dominant_of_norm = lambda two_n: full(two_n)[1:]\n"
+        "try:\n"
+        "    e8.shell(8)\n"
+        "except RuntimeError:\n"
+        "    print('RuntimeError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "RuntimeError"
+
+
 # ---------------------------------------------------------------------------
 # coset minima
 
