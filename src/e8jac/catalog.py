@@ -596,7 +596,8 @@ def solve_cascade(t: int, w0: int, norms) -> CascadeSystem:
             for v, mj in zip(norms, m)
         ]
         w += 2
-    assert w == 0
+    if w != 0:
+        raise CatalogError(f"heat cascade from weight {w0} ended at weight {w}")
     rows.append(tuple(Fraction(2 * t - 3 * v) * mj for v, mj in zip(norms, m)))
     basis = nullspace([list(r) for r in rows], len(norms))
     return CascadeSystem(

@@ -1,7 +1,9 @@
 """Command-line interface: q-expansions, lattice queries, tables, verification.
 
 Exit codes: 0 success, 1 a verification suite found a failure, 2 usage or
-resource errors (unknown form, insufficient order, budget exceeded).
+resource errors (unknown form, insufficient order, budget exceeded), 3 an
+internal error: any other RuntimeError, most often a failed certification
+(a result the library checks on every call did not hold).
 """
 from __future__ import annotations
 
@@ -507,6 +509,9 @@ def main(argv=None) -> int:
     except (BudgetError, CatalogError, KeyError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     finally:
         # the budget holds for this call only
         if saved is None:

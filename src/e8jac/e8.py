@@ -5,8 +5,8 @@ or all half-integers and even coordinate sum) is stored as d = 2x, eight
 integers of one shared parity with sum divisible by 4. Everything stays in
 integer arithmetic, including the closest-vector decoder.
 
-Bulk kernels (shell enumeration, batched dominant reduction, orbit closure,
-the full coset sweep) run on int64 numpy arrays. Every dedupe or bin of
+Bulk kernels (alcove enumeration, batched dominant reduction, orbit closure,
+coset decoding) run on int64 numpy arrays. Every dedupe or bin of
 lattice rows packs each row into one uint64 key, a byte per doubled
 coordinate (see _pack), so every doubled coordinate must lie in
 [-128, 127]. A row beyond that, which needs norm >= 4096, raises
@@ -15,6 +15,7 @@ doubled coordinate of 12.
 """
 from __future__ import annotations
 
+import functools
 import os
 from math import factorial, isqrt
 
@@ -37,6 +38,7 @@ __all__ = [
     "orbit",
     "orbit_array",
     "orbit_size",
+    "alcove",
     "shell",
     "shell_by_enumeration",
     "coset_min_norm",
@@ -357,7 +359,6 @@ def _component_group_order(nodes: list[int], adj: dict[int, list[int]]) -> int:
 
 def _stabilizer_order(fw) -> int:
     zero = [i for i in range(8) if fw[i] == 0]
-    zs = set(zero)
     adj = {u: [v for v in zero if (min(u, v), max(u, v)) in _EDGES] for u in zero}
     order = 1
     seen: set[int] = set()
@@ -374,25 +375,20 @@ def _stabilizer_order(fw) -> int:
                     seen.add(y)
                     stack.append(y)
         order *= _component_group_order(comp, adj)
-    assert zs == seen or not zero
     return order
 
 
-_size_cache: dict[tuple, int] = {}
 _orbit_cache: dict[tuple, np.ndarray] = {}
-_shell_cache: dict[int, list] = {}
 
 
+@functools.cache
 def orbit_size(m: DominantWeight) -> int:
     """|W(E8)-orbit of m| = |W(E8)| / |stabilizer|, computed without enumeration."""
-    key = m.v.d
-    if key not in _size_cache:
-        stab = _stabilizer_order(m.fw)
-        q, r = divmod(WEYL_ORDER, stab)
-        if r:
-            raise RuntimeError(f"stabilizer order {stab} does not divide |W|")
-        _size_cache[key] = q
-    return _size_cache[key]
+    stab = _stabilizer_order(m.fw)
+    q, r = divmod(WEYL_ORDER, stab)
+    if r:
+        raise RuntimeError(f"stabilizer order {stab} does not divide |W|")
+    return q
 
 
 def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
@@ -439,65 +435,73 @@ def orbit(m: DominantWeight, budget: int | None = None) -> list[E8Vector]:
 
 
 # ---------------------------------------------------------------------------
-# Shells.
+# The scaled alcove.
+#
+# The affine Weyl group W ⋉ tE8 has the closed alcove
+# {m dominant : (m, θ) <= t} as a fundamental domain, and for a simply-laced
+# root lattice the Voronoi cell of 0 in tE8 is the union of the W-images of
+# that alcove. So every W-orbit of cosets E8/tE8 has one alcove point, whose
+# norm is the coset minimum; shells are cut out of a large enough alcove.
 
-def _gram_weights() -> np.ndarray:
-    return (_W2 @ _W2.T) // 4
+_MARKS = tuple(int(x) for x in (_W2 @ _W2[7]) // 4)  # (w_i, θ), θ = w_8
 
 
-_GW = _gram_weights()  # (w_i, w_j), all entries positive
+def alcove(t: int) -> np.ndarray:
+    """The dominant weights m with (m, θ) <= t, as a lex-sorted (n, 8) int64
+    array of doubled coordinates.
 
-
-def _dominant_of_norm(two_n: int) -> list[DominantWeight]:
-    """All dominant weights of given norm, by branch-and-bound over fw coords.
-
-    Every entry of the weight Gram matrix is positive, so the norm is
-    monotone in each coordinate and partial sums prune exactly.
+    Walks the fw coordinates one at a time under the linear bound
+    sum(mark_i * fw_i) <= t, expanding every partial point at once. Each
+    step's size is known before it is built, so the walk raises BudgetError
+    before it would hold more points than the element budget.
     """
-    found: list[tuple] = []
-    fw = [0] * 8
-
-    def rec(i: int, acc: int) -> None:
-        if i == 8:
-            if acc == two_n:
-                found.append(tuple(fw))
-            return
-        x = 0
-        while True:
-            add = x * x * _GW[i, i] + 2 * x * sum(
-                fw[j] * _GW[j, i] for j in range(i)
+    if t < 0:
+        raise ValueError("alcove scale must be non-negative")
+    limit = element_budget()
+    fw = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([t], dtype=np.int64)  # t minus the partial sum
+    for mark in _MARKS:
+        reps = room // mark + 1
+        total = int(reps.sum())
+        if total > limit:
+            raise BudgetError(
+                f"alcove walk at t={t} reaches {total} points, "
+                f"over element budget {limit}"
             )
-            if acc + add > two_n:
-                break
-            fw[i] = x
-            rec(i + 1, acc + add)
-            x += 1
-        fw[i] = 0
-
-    rec(0, 0)
-    return [DominantWeight.from_fw(f) for f in found]
+        parent = np.repeat(np.arange(len(fw)), reps)
+        x = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
+        fw = np.column_stack([fw[parent], x])
+        room = room[parent] - mark * x
+    rows = fw @ _W2
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
     """Orbit decomposition of the norm-2n shell, with orbit sizes.
 
-    Representatives are enumerated directly in the dominant cone; sizes come
-    from the stabilizer order. Completeness is certified on every call by
-    the theta-series identity: total size = 240 * sigma_3(n).
+    Representatives are the alcove points of that norm: by Cauchy–Schwarz
+    (m, θ)^2 <= 2(m, m), so alcove(isqrt(2 * two_n)) holds them all. That
+    walk is bounded by the element budget, so a large norm raises
+    BudgetError (from two_n = 2048 at the default budget). Sizes
+    come from the stabilizer order. Completeness is certified by the
+    theta-series identity: total size = 240 * sigma_3(n).
     """
     if two_n < 0 or two_n % 2:
         raise ValueError("shell norm must be even and non-negative")
-    cached = _shell_cache.get(two_n)
-    if cached is not None:
-        return list(cached)
-    reps = _dominant_of_norm(two_n)
-    out = [(m, orbit_size(m)) for m in sorted(reps)]
+    return list(_shell(two_n))
+
+
+@functools.cache
+def _shell(two_n: int) -> tuple[tuple[DominantWeight, int], ...]:
+    rows = alcove(isqrt(2 * two_n))
+    rows = rows[(rows * rows).sum(axis=1) == 4 * two_n]
+    reps = [DominantWeight(E8Vector(row)) for row in rows]
+    out = tuple((m, orbit_size(m)) for m in reps)
     total = sum(s for _, s in out)
     expect = 1 if two_n == 0 else 240 * sigma_pow(two_n // 2, 3)
     if total != expect:
         raise RuntimeError(f"shell {two_n}: {total} points, expected {expect}")
-    _shell_cache[two_n] = out
-    return list(out)
+    return out
 
 
 def _int_tuples4(max_sq: int, odd: bool) -> np.ndarray:
@@ -580,68 +584,55 @@ def shell_by_enumeration(
 # integers: per coordinate A_i = -(d_i + t*g) with g in {0,1} encodes the
 # target times 2t; rounding residues R_i lie in [-t, t].
 
-def _decode_scaled(A: np.ndarray, t: int) -> np.ndarray:
-    """Per row: 4t^2 * dist(A/(2t), D8)^2, exactly."""
+def _decode_scaled(d: np.ndarray, t: int) -> np.ndarray:
+    """Per row of doubled coordinates: 4 * the minimum norm of l + tE8, exactly.
+
+    Decodes both glue classes g = 0, 1 at once and keeps the nearer.
+    """
     T = 2 * t
+    A = -(d + t * np.array([0, 1])[:, None, None])  # glue class g per plane
     n = (A + t) // T  # nearest integer (ties round up: value unaffected)
     R = A - T * n
-    cost0 = (R * R).sum(axis=1)
+    cost = (R * R).sum(axis=-1)
     # flipping coordinate i to its second-nearest integer costs T^2 - 2T|R_i|
-    delta = (T * T - 2 * T * np.abs(R)).min(axis=1)
-    odd = (n.sum(axis=1) % 2) != 0
-    return cost0 + np.where(odd, delta, 0)
+    flip = (T * T - 2 * T * np.abs(R)).min(axis=-1)
+    odd = (n.sum(axis=-1) % 2) != 0
+    return np.where(odd, cost + flip, cost).min(axis=0)
 
 
+@functools.cache
 def coset_min_norm(l: E8Vector, t: int) -> int:
     """Minimum norm in the coset l + tE8, by exact decoding (no search)."""
     if t < 1:
         raise ValueError("index t must be positive")
-    d = np.array([l.d], dtype=np.int64)
-    best = None
-    for g in (0, 1):
-        A = -(d + t * g)
-        val = int(_decode_scaled(A, t)[0])
-        best = val if best is None else min(best, val)
-    q, r = divmod(best, 4)
+    q, r = divmod(int(_decode_scaled(np.array([l.d], dtype=np.int64), t)[0]), 4)
     if r:
         raise RuntimeError("scaled minimum must be divisible by 4")
     return q
-
-
-_COSET_CHUNK = 1 << 16
 
 
 def max_coset_min_norm(t: int) -> int:
     """max over all cosets of E8/tE8 of the coset minimum norm.
 
-    Sweeps all t^8 coset representatives sum(c_i * alpha_i), c in [0,t)^8,
-    in vectorized chunks of _COSET_CHUNK.
+    Every coset is a W-image of one whose alcove point is its shortest
+    vector, so this is the largest norm in alcove(t). That premise is
+    certified on every call: each alcove point must decode to its own norm.
     """
     if t < 1:
         raise ValueError("index t must be positive")
-    if t == 1:
-        return 0
-    total = t**8
-    radix = t ** np.arange(8, dtype=np.int64)
-    best = 0
-    for start in range(0, total, _COSET_CHUNK):
-        idx = np.arange(start, min(start + _COSET_CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // radix) % t
-        dvecs = digits @ _A2
-        scaled = None
-        for g in (0, 1):
-            val = _decode_scaled(-(dvecs + t * g), t)
-            scaled = val if scaled is None else np.minimum(scaled, val)
-        m = int(scaled.max())
-        best = max(best, m)
-    q, r = divmod(best, 4)
-    if r:
-        raise RuntimeError("scaled minimum must be divisible by 4")
-    return q
+    rows = alcove(t)
+    norms4 = (rows * rows).sum(axis=1)
+    if (_decode_scaled(rows, t) != norms4).any():
+        raise RuntimeError(f"an alcove point at t={t} is not its coset's minimum")
+    return int(norms4.max()) // 4
 
 
 def max_pairing(m: DominantWeight, two_n: int, budget: int | None = None) -> int:
-    """max of (m, l) over the norm-2n shell."""
+    """max of (m, l) over the norm-2n shell.
+
+    budget bounds each orbit's closure; the shell itself is bounded by the
+    environment or default element budget, like every shell call.
+    """
     if two_n == 0:
         return 0
     best = None

@@ -269,8 +269,7 @@ def heat(a: JacobiQExpansion) -> JacobiQExpansion:
     if t == 0:
         raise ValueError("heat operator needs index >= 1")
     k = a.weight
-    e2 = eisenstein(2, a.order)
-    corr = jf_scale(a, e2).scale(Fraction(4 - k, 12))
+    corr = jf_scale(a, eisenstein(2, a.order) * Fraction(4 - k, 12))
     terms = []
     for n in range(a.order + 1):
         part = InvariantElement(
@@ -430,12 +429,14 @@ def check_quasi_periodicity(
         l = E8Vector(tuple(int(x) for x in arr[pick]))
         v = E8Vector(tuple(w * int(x) for x in r))
         n2 = int(n2_all[pick])
-        assert n2 >= 0, "support bound forbids negative image rows"
+        if n2 < 0:
+            raise AssertionError("support bound forbids negative image rows")
         lhs = a.coefficient(n, l)
         rhs = a.coefficient(n2, l + t * v)
-        assert lhs == rhs, (
-            f"quasi-periodicity broken: f({n},{l.d}) = {lhs} but "
-            f"f({n2}, shifted) = {rhs}"
-        )
+        if lhs != rhs:
+            raise AssertionError(
+                f"quasi-periodicity broken: f({n},{l.d}) = {lhs} but "
+                f"f({n2}, shifted) = {rhs}"
+            )
         done += 1
     return done

@@ -2,8 +2,8 @@
 
 Every expected value is pinned literally in this file — nothing is shared
 with the CLI verification suites — so each test stands (and fails) on its
-own.  The slow entries are test_04 (the t=6 coset sweep, ~1.7M cosets) and
-test_12 (the orbit-product oracle sweep); everything else runs in seconds.
+own.  The slow entry is test_12 (the orbit-product oracle sweep); everything
+else runs in seconds.
 """
 
 from fractions import Fraction

@@ -78,6 +78,39 @@ def test_coset_minima(capsys):
     assert out.strip() == "8"
 
 
+def test_coset_minima_budget(capsys):
+    code, _, err = run(capsys, "--budget", "1000", "coset-minima", "--t", "20")
+    assert code == 2
+    assert "budget" in err
+
+
+def test_shell_budget(capsys):
+    # the shell's alcove walk is bounded too: alcove(10) has 135 points
+    code, _, err = run(capsys, "--budget", "100", "orbits", "--norm", "60")
+    assert code == 2
+    assert "budget" in err
+
+
+def test_certification_failure_exits_3(capsys, monkeypatch):
+    import e8jac.e8 as e8
+
+    full = e8.alcove
+
+    def alcove(t):
+        rows = full(t)
+        return rows[(rows * rows).sum(axis=1) != 32]  # drop the norm-8 rows
+
+    monkeypatch.setattr(e8, "alcove", alcove)
+    e8._shell.cache_clear()
+    try:
+        code, out, err = run(capsys, "orbits", "--norm", "8")
+    finally:
+        e8._shell.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: shell 8") and err.count("\n") == 1
+
+
 def test_rank_text(capsys):
     code, out, _ = run(capsys, "rank", "--max", "6")
     assert code == 0

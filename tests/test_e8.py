@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import e8jac
+from e8jac.catalog import rank_series
 from e8jac.e8 import (
+    BUDGET_ENV,
     FUNDAMENTAL_WEIGHTS,
     HIGHEST_ROOT,
     SIMPLE_ROOTS,
@@ -19,8 +21,10 @@ from e8jac.e8 import (
     BudgetError,
     DominantWeight,
     E8Vector,
+    _decode_scaled,
     _pack,
     _unpack,
+    alcove,
     coset_min_norm,
     dominant_reduce,
     max_coset_min_norm,
@@ -281,19 +285,29 @@ def test_shell_rejects_odd():
 
 def test_shell_certification_is_an_exception(monkeypatch):
     # the theta-identity count must raise, not assert, so it fires under -O
-    full = e8jac.e8._dominant_of_norm
-    monkeypatch.setattr(e8jac.e8, "_dominant_of_norm",
-                        lambda two_n: full(two_n)[1:])
-    monkeypatch.setattr(e8jac.e8, "_shell_cache", {})
-    with pytest.raises(RuntimeError, match="shell 8"):
-        shell(8)
+    full = e8jac.e8.alcove
+
+    def alcove(t):
+        rows = full(t)
+        return rows[(rows * rows).sum(axis=1) != 32]  # drop the norm-8 rows
+
+    monkeypatch.setattr(e8jac.e8, "alcove", alcove)
+    e8jac.e8._shell.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="shell 8"):
+            shell(8)
+    finally:
+        e8jac.e8._shell.cache_clear()
 
 
 def test_shell_certification_fires_under_optimize():
     code = (
         "import e8jac.e8 as e8\n"
-        "full = e8._dominant_of_norm\n"
-        "e8._dominant_of_norm = lambda two_n: full(two_n)[1:]\n"
+        "full = e8.alcove\n"
+        "def alcove(t):\n"
+        "    rows = full(t)\n"
+        "    return rows[(rows * rows).sum(axis=1) != 32]\n"
+        "e8.alcove = alcove\n"
         "try:\n"
         "    e8.shell(8)\n"
         "except RuntimeError:\n"
@@ -307,6 +321,30 @@ def test_shell_certification_fires_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "RuntimeError"
+
+
+# ---------------------------------------------------------------------------
+# the scaled alcove
+
+
+def test_alcove_counts_are_rank_series():
+    # r(t) counts the alcove points: its exponents are the affine E8 marks
+    r = rank_series(20)
+    for t in range(21):
+        assert len(alcove(t)) == r[t]
+
+
+def test_alcove_points_are_dominant_and_bounded():
+    rows = alcove(8)
+    assert (rows @ np.array([r.d for r in SIMPLE_ROOTS]).T >= 0).all()
+    assert ((rows @ np.array(HIGHEST_ROOT.d)) // 4 <= 8).all()
+    assert (np.unique(rows, axis=0) == rows).all()  # distinct, lex-sorted
+
+
+def test_alcove_budget(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "1000")
+    with pytest.raises(BudgetError):
+        alcove(20)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +396,39 @@ def test_coset_min_norm_translation_invariant():
 def test_max_coset_min_norm_small():
     assert max_coset_min_norm(2) == 4
     assert max_coset_min_norm(3) == 8
+
+
+def coset_sweep_max(t):
+    """Oracle: decode all t^8 coset representatives sum(c_i * alpha_i),
+    c in [0, t)^8, in one array."""
+    idx = np.arange(t**8, dtype=np.int64)
+    digits = (idx[:, None] // t ** np.arange(8, dtype=np.int64)) % t
+    scaled = _decode_scaled(digits @ np.array([r.d for r in SIMPLE_ROOTS]), t)
+    return int(scaled.max()) // 4
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_max_coset_min_norm_against_sweep(t):
+    assert max_coset_min_norm(t) == coset_sweep_max(t)
+
+
+def test_max_coset_min_norm_covering_radius():
+    # the covering radius of E8 is 1 (w_1/2 is a deep hole), so for even t
+    # the deepest coset tw_1/2 + tE8 has minimum t^2
+    for t in range(2, 41, 2):
+        assert max_coset_min_norm(t) == t * t
+
+
+def test_max_coset_min_norm_certifies_alcove(monkeypatch):
+    full = e8jac.e8.alcove
+
+    def with_outsider(t):
+        # 3θ lies outside the t = 2 alcove; its coset holds θ, of norm 2
+        return np.concatenate([full(t), [3 * np.array(HIGHEST_ROOT.d)]])
+
+    monkeypatch.setattr(e8jac.e8, "alcove", with_outsider)
+    with pytest.raises(RuntimeError, match="alcove"):
+        max_coset_min_norm(2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Tests for truncated Jacobi q-expansions and the operators acting on them."""
 
+import ast
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import e8jac
 from e8jac import (
     HIGHEST_ROOT,
     DominantWeight,
@@ -247,6 +253,42 @@ def test_quasi_periodicity_catches_corruption():
     bad = JacobiQExpansion(4, 1, bad_terms)
     with pytest.raises(AssertionError):
         check_quasi_periodicity(bad, samples=60, seed=0)
+
+
+def test_quasi_periodicity_catches_corruption_under_optimize():
+    # the check raises AssertionError explicitly, so -O does not strip it
+    code = (
+        "from e8jac import InvariantElement, JacobiQExpansion, build\n"
+        "from e8jac import check_quasi_periodicity\n"
+        "f = build('phi_-4_2')\n"
+        "q1 = dict(f.terms[1].terms)\n"
+        "m = min(q1)\n"
+        "q1[m] += 1\n"
+        "bad = JacobiQExpansion(f.weight, f.index,\n"
+        "                       [f.terms[0], InvariantElement(q1)] + f.terms[2:])\n"
+        "try:\n"
+        "    check_quasi_periodicity(bad, samples=200)\n"
+        "except AssertionError:\n"
+        "    print('AssertionError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("E8JAC_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "AssertionError"
+
+
+def test_package_has_no_assert_statements():
+    # certifications must raise under -O too
+    pkg = pathlib.Path(e8jac.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        hits = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not hits, f"{path.name}: assert at lines {hits}"
 
 
 # ---------------------------------------------------------------------------
