@@ -121,20 +121,55 @@ def _theta_pair_block(max_t2: int) -> dict[tuple[int, tuple[int, int]], int]:
     return {k: v for k, v in out.items() if v}
 
 
-def _fold(d1, d2, min_rest: int, budget: int):
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    for (t1, c1), v1 in d1.items():
-        cap = budget - min_rest - t1
-        for (t2, c2), v2 in d2.items():
-            if t2 > cap:
-                continue
-            key = (t1 + t2, c1 + c2)
-            s = out.get(key, 0) + v1 * v2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+_CHUNK = 1 << 16  # raw rows per dominant-reduction call in build_phi16_4
+
+
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
+    """Sum vals over equal keys: the sorted distinct keys with nonzero sums."""
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    keys, sums = keys[start], np.add.reduceat(vals, start)
+    keep = sums != 0
+    return keys[keep], sums[keep]
+
+
+def _check_int64(va: np.ndarray, vb: np.ndarray) -> None:
+    """Raise unless every sum of products va[i]·vb[j] fits int64.
+
+    Any such sum is at most (Σ|va|)·(Σ|vb|) in absolute value.
+    """
+    mass = [sum(map(abs, v.tolist())) for v in (va, vb)]
+    if mass[0] * mass[1] > np.iinfo(np.int64).max:
+        raise CatalogError("theta product coefficients would overflow int64")
+
+
+def _half_table(max_t2: int, cap: int):
+    """Two pair blocks multiplied out: exponents, uint32 keys and values.
+
+    A pair block's doubled (zeta_u, zeta_v) exponents get a 16-bit key in
+    e8._pack's byte layout (each doubled coordinate offset by 128, first
+    coordinate high), so the key of a concatenated row is the shifted
+    concatenation of the keys of its parts. Terms with doubled q-exponent
+    above cap are dropped.
+    """
+    block = _theta_pair_block(max_t2)
+    t = np.array([k[0] for k in block], dtype=np.int64)
+    coords = np.array([k[1] for k in block], dtype=np.int64).reshape(-1, 2)
+    v = np.array(list(block.values()), dtype=np.int64)
+    if (coords.sum(axis=1) % 2).any():
+        raise CatalogError("raw exponent escaped the even-sum sublattice")
+    rows = 2 * coords + 128
+    key = ((rows[:, 0] << 8) | rows[:, 1]).astype(np.uint64)
+    _check_int64(v, v)
+    ht = (t[:, None] + t[None, :]).ravel()
+    hk = ((key[:, None] << 16) | key[None, :]).ravel()
+    hv = (v[:, None] * v[None, :]).ravel()
+    sel = ht <= cap
+    keys, vals = _sum_by_key((ht[sel].astype(np.uint64) << 32) | hk[sel], hv[sel])
+    return (keys >> 32).astype(np.int64), keys & 0xFFFFFFFF, vals
 
 
 def build_phi16_4(order: int) -> JacobiQExpansion:
@@ -144,38 +179,44 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
     pair blocks, divides by Delta^2 (the sixteen q^(1/8) prefactors supply
     exactly q^2), projects onto Weyl invariants by orbit-averaging the raw
     coefficients, and normalizes the q^0 display coefficient of Σ_{16'} to 1.
+
+    The expansion is held in int64 tables with one uint64 key per raw
+    8-coordinate row (e8._pack's layout). Per q-exponent the products of two
+    half tables (two blocks each) are summed by raw row, then dominant-reduced
+    in chunks of at most 65,536 rows and summed by dominant row, so the
+    working set beyond the raw table of one q-exponent is bounded by the
+    chunk.
     """
     if order < 0 or order > 3:
         raise ValueError("theta-quotient construction supports orders 0..3")
     n_num = order + 2
     budget = 2 * n_num  # doubled q-exponent across all four blocks
-    block = _theta_pair_block(budget - 3)
-    half = _fold(block, block, 2, budget)
-    full = _fold(half, half, 0, budget)
-
-    t2 = np.array([k[0] for k in full], dtype=np.int64)
-    coords = np.array([k[1] for k in full], dtype=np.int64)
-    raw = np.array(list(full.values()), dtype=np.int64)
-    if (t2 % 2).any():
+    # each block has doubled q-exponent >= 1, so the other half needs >= 2
+    ht, hk, hv = _half_table(budget - 3, budget - 2)
+    if (ht % 2).any():
         raise CatalogError("odd doubled q-exponent in the theta product")
-    if (coords.sum(axis=1) % 2).any():
-        raise CatalogError("raw exponent escaped the even-sum sublattice")
+    _check_int64(hv, hv)
 
+    half = {int(e): (hk[ht == e], hv[ht == e]) for e in np.unique(ht)}
     terms = []
     for n in range(n_num + 1):
-        sel = t2 == 2 * n
-        if not sel.any():
-            terms.append(InvariantElement.zero())
-            continue
-        reduced = _batch_reduce(2 * coords[sel])
-        keys, inverse = np.unique(_pack(reduced), return_inverse=True)
-        totals = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(totals, inverse, raw[sel])
+        pairs = [(half[a], half[2 * n - a]) for a in half if 2 * n - a in half]
+        keys, vals = _sum_by_key(
+            np.concatenate([hk[:0]] + [
+                ((k1[:, None] << 32) | k2).ravel() for (k1, _), (k2, _) in pairs
+            ]),
+            np.concatenate([hv[:0]] + [
+                np.outer(v1, v2).ravel() for (_, v1), (_, v2) in pairs
+            ]),
+        )
+        for lo in range(0, len(keys), _CHUNK):
+            chunk = slice(lo, lo + _CHUNK)
+            keys[chunk] = _pack(_batch_reduce(_unpack(keys[chunk])))
+        keys, vals = _sum_by_key(keys, vals)
         elem: dict[DominantWeight, Fraction] = {}
-        for row, total in zip(_unpack(keys), totals):
-            if total:
-                m = DominantWeight(E8Vector(row))
-                elem[m] = Fraction(int(total), orbit_size(m))
+        for row, total in zip(_unpack(keys), vals):
+            m = DominantWeight(E8Vector(row))
+            elem[m] = Fraction(int(total), orbit_size(m))
         terms.append(InvariantElement(elem))
 
     if not (terms[0].is_zero() and terms[1].is_zero()):
@@ -539,6 +580,8 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
         )
     if order is None:
         order = default_order(entry.index)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     key = (name, order)
     cached = _build_cache.get(key)
     if cached is not None:

@@ -1,23 +1,36 @@
-"""Exact linear algebra over Fraction: RREF, rank, nullspace.
+"""Exact linear algebra over the rationals: RREF, rank, nullspace.
 
-Pivot choice: within the current column take the entry maximizing
-|numerator * denominator| (lowest row index on ties). Deterministic,
-so reduced bases are reproducible.
+Elimination is fraction-free: each row is scaled once to primitive
+integers and rows are combined on Python ints, so no Fraction is built
+until the pivot rows are divided back to Fraction at the end. A matrix has
+exactly one reduced row echelon form, so results do not depend on the
+pivot rule.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = ["rref", "rank", "nullspace", "integerize"]
+
+
+def _primitive(row) -> list[int]:
+    """The coprime integer row that is a positive multiple of a rational row."""
+    row = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (new_rows, pivot_columns).
 
-    rows: list of equal-length lists of Fraction. Input is not mutated.
+    rows: list of equal-length lists of rationals (int or Fraction). Input is
+    not mutated. new_rows holds Fractions and has as many rows as the input;
+    the rows below the rank are zero.
     """
-    m = [list(map(Fraction, r)) for r in rows]
+    m = [_primitive(r) for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -26,24 +39,24 @@ def rref(rows):
     for c in range(ncols):
         if r >= len(m):
             break
-        best, best_size = -1, -1
-        for i in range(r, len(m)):
-            if m[i][c]:
-                size = abs(m[i][c].numerator * m[i][c].denominator)
-                if size > best_size:
-                    best, best_size = i, size
-        if best < 0:
+        live = [i for i in range(r, len(m)) if m[i][c]]
+        if not live:
             continue
+        best = min(live, key=lambda i: abs(m[i][c]))
         m[r], m[best] = m[best], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    return m, pivots
+    out = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
+    out += [[Fraction(0)] * ncols for _ in range(len(m) - r)]
+    return out, pivots
 
 
 def rank(rows) -> int:
@@ -70,17 +83,7 @@ def nullspace(rows, ncols: int):
 
 def integerize(vec):
     """Scale a rational vector to coprime integers, first nonzero entry positive."""
-    vec = [Fraction(x) for x in vec]
-    denoms = [x.denominator for x in vec]
-    mult = 1
-    for d in denoms:
-        mult = mult * d // gcd(mult, d)
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
+    ints = _primitive(vec)
     for x in ints:
         if x:
             if x < 0:

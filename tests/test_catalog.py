@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import e8jac
 from e8jac import (
     CatalogError,
     DominantWeight,
@@ -26,13 +32,18 @@ from e8jac import (
 from e8jac.catalog import (
     Recipe,
     Term,
+    _display_coeff,
+    _mf,
+    _theta_pair_block,
+    build_phi16_4,
     default_order,
     parse_recipe,
     weak_generator_names,
 )
-from e8jac.jacobi import heat, jf_scale
+from e8jac.e8 import E8Vector, _batch_reduce, orbit_size
+from e8jac.invring import SIGMA_LABELS, InvariantElement
+from e8jac.jacobi import JacobiQExpansion, heat, jf_div_modular, jf_scale
 from e8jac.qseries import delta, eisenstein
-from e8jac.invring import SIGMA_LABELS
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +475,121 @@ def test_catalog_pin_default_order(name):
 @pytest.mark.parametrize("name", sorted(_PINS_ORDER_4))
 def test_catalog_pin_order_4(name):
     assert _sha(build(name, 4)) == _PINS_ORDER_4[name]
+
+
+# ---------------------------------------------------------------------------
+# The theta quotient phi_-16_4. Oracle: the dict fold of the pair blocks the
+# int64 key tables replaced, binned by dominant row through a tuple dict.
+
+
+def _fold(d1, d2, min_rest, budget):
+    out = {}
+    for (t1, c1), v1 in d1.items():
+        cap = budget - min_rest - t1
+        for (t2, c2), v2 in d2.items():
+            if t2 > cap:
+                continue
+            key = (t1 + t2, c1 + c2)
+            s = out.get(key, 0) + v1 * v2
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def _phi16_4_by_dict_fold(order):
+    n_num = order + 2
+    budget = 2 * n_num
+    block = _theta_pair_block(budget - 3)
+    half = _fold(block, block, 2, budget)
+    full = _fold(half, half, 0, budget)
+    terms = []
+    for n in range(n_num + 1):
+        raw = [(c, v) for (t2, c), v in full.items() if t2 == 2 * n]
+        rows = _batch_reduce(2 * np.array([c for c, _ in raw], dtype=np.int64))
+        bins = {}
+        for row, (_, v) in zip(rows.reshape(-1, 8).tolist(), raw):
+            bins[tuple(row)] = bins.get(tuple(row), 0) + v
+        elem = {}
+        for key, total in sorted(bins.items()):
+            if total:
+                m = DominantWeight(E8Vector(key))
+                elem[m] = Fraction(total, orbit_size(m))
+        terms.append(InvariantElement(elem))
+    quot = jf_div_modular(JacobiQExpansion(8, 4, terms), _mf(0, 0, 2, n_num))
+    return quot.scale(1 / _display_coeff(quot.term(0), "Σ_{16'}"))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_phi16_4_matches_dict_fold_oracle(order):
+    assert _sha(build_phi16_4(order)) == _sha(_phi16_4_by_dict_fold(order))
+
+
+# sha256 of build_phi16_4(order).to_json(), generated before the int64 key
+# tables replaced the dict fold; order 2 is pinned above as the default.
+_PINS_PHI16_4 = {
+    0: "73e0855585b70a4c53d313472f728a8d3ec2b0b6eaa051cc650dc96b111358e5",
+    1: "48229758917dde7c20de71b713c523480017b505f7237a313df459bd89da6ba6",
+    3: "2c5e0efcf86995b65696a04f2ee9cf0aeb6cede334b8b405f552c5c8c7e7d52f",
+}
+
+
+@pytest.mark.parametrize("order", sorted(_PINS_PHI16_4))
+def test_phi16_4_pins(order):
+    assert _sha(build_phi16_4(order)) == _PINS_PHI16_4[order]
+
+
+def test_phi16_4_memory_stays_chunked():
+    tracemalloc.start()
+    try:
+        build_phi16_4(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
+
+
+def _run_optimized(code):
+    """Run code under python -O with the package importable; its stdout."""
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("E8JAC_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+_PATCHED_BLOCK = (
+    "import e8jac.catalog as c\n"
+    "real = c._theta_pair_block\n"
+    "def patched(max_t2):\n"
+    "    block = real(max_t2)\n"
+    "{patch}"
+    "    return block\n"
+    "c._theta_pair_block = patched\n"
+    "try:\n"
+    "    c.build_phi16_4(0)\n"
+    "except c.CatalogError as e:\n"
+    "    print(e)\n"
+)
+
+
+def test_phi16_4_odd_exponent_is_an_exception():
+    # every genuine block term has an odd doubled q-exponent, so one of
+    # exponent 0 gives a half table (two blocks) an odd exponent
+    patch = "    block[(0, (0, 0))] = 1\n"
+    out = _run_optimized(_PATCHED_BLOCK.format(patch=patch))
+    assert out == "odd doubled q-exponent in the theta product"
+
+
+@pytest.mark.parametrize("scale", [2**20, 2**40])
+def test_phi16_4_int64_overflow_is_an_exception(scale):
+    # 2**20: the half table fits int64 but half x half would wrap;
+    # 2**40: block x block would already wrap
+    patch = f"    block = {{k: v * {scale} for k, v in block.items()}}\n"
+    out = _run_optimized(_PATCHED_BLOCK.format(patch=patch))
+    assert out == "theta product coefficients would overflow int64"

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from e8jac import JacobiQExpansion, build
+from e8jac import REGISTRY, JacobiQExpansion, build
 from e8jac.cli import main, _SUITES
 from e8jac.e8 import BUDGET_ENV
 
@@ -49,6 +49,15 @@ def test_expand_unknown_form(capsys):
     code, _, err = run(capsys, "expand", "--form", "nosuchform")
     assert code == 2
     assert "nosuchform" in err
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, e in REGISTRY.items() if e.buildable))
+def test_expand_negative_order_is_a_usage_error(capsys, name):
+    code, out, err = run(capsys, "expand", "--form", name, "--order", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: order must be >= 0, got -1"]
 
 
 # ---------------------------------------------------------------------------

@@ -57,3 +57,81 @@ def test_nullspace_vectors_annihilate(rows):
 @settings(max_examples=80, deadline=None)
 def test_rank_nullity(rows):
     assert rank(rows) + len(nullspace(rows, 4)) == 4
+
+
+# ---------------------------------------------------------------------------
+# Oracle: Gauss-Jordan elimination on Fraction entries, the route the
+# fraction-free rref replaced. Pivot: the entry maximizing
+# |numerator * denominator| in the current column (lowest row on ties).
+
+
+def rref_by_fractions(rows):
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(m):
+            break
+        best, best_size = -1, -1
+        for i in range(r, len(m)):
+            if m[i][c]:
+                size = abs(m[i][c].numerator * m[i][c].denominator)
+                if size > best_size:
+                    best, best_size = i, size
+        if best < 0:
+            continue
+        m[r], m[best] = m[best], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-50, max_value=50).map(Fraction),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Wide, tall or empty matrices with zero, duplicate and dependent rows."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "comb"]), max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "dup":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(entries), draw(entries)
+            rows.append([x * p + y * q for p, q in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@given(rational_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_fraction_oracle(rows):
+    before = [list(r) for r in rows]
+    m, pivots = rref(rows)
+    assert (m, pivots) == rref_by_fractions(rows)
+    assert all(type(x) is Fraction for r in m for x in r)
+    assert rows == before
+
+
+def test_rref_empty_and_zero_rows():
+    assert rref([]) == ([], [])
+    assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+    m, pivots = rref([[0, 2, 4], [0, 0, 0], [0, 1, 2]])
+    assert (m, pivots) == ([[0, 1, 2], [0, 0, 0], [0, 0, 0]], [1])
