@@ -21,6 +21,7 @@ from math import isqrt
 import numpy as np
 
 from .e8 import (
+    CertificationError,
     DominantWeight,
     E8Vector,
     _batch_reduce,
@@ -67,7 +68,8 @@ __all__ = [
 
 
 class CatalogError(RuntimeError):
-    pass
+    """A request the catalog cannot serve: a declared-only form, too low an
+    order for a recipe, or a table past the range its inputs determine."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +145,7 @@ def _check_int64(va: np.ndarray, vb: np.ndarray) -> None:
     """
     mass = [sum(map(abs, v.tolist())) for v in (va, vb)]
     if mass[0] * mass[1] > np.iinfo(np.int64).max:
-        raise CatalogError("theta product coefficients would overflow int64")
+        raise CertificationError("theta product coefficients would overflow int64")
 
 
 def _half_table(max_t2: int, cap: int):
@@ -160,7 +162,7 @@ def _half_table(max_t2: int, cap: int):
     coords = np.array([k[1] for k in block], dtype=np.int64).reshape(-1, 2)
     v = np.array(list(block.values()), dtype=np.int64)
     if (coords.sum(axis=1) % 2).any():
-        raise CatalogError("raw exponent escaped the even-sum sublattice")
+        raise CertificationError("raw exponent escaped the even-sum sublattice")
     rows = 2 * coords + 128
     key = ((rows[:, 0] << 8) | rows[:, 1]).astype(np.uint64)
     _check_int64(v, v)
@@ -194,7 +196,7 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
     # each block has doubled q-exponent >= 1, so the other half needs >= 2
     ht, hk, hv = _half_table(budget - 3, budget - 2)
     if (ht % 2).any():
-        raise CatalogError("odd doubled q-exponent in the theta product")
+        raise CertificationError("odd doubled q-exponent in the theta product")
     _check_int64(hv, hv)
 
     half = {int(e): (hk[ht == e], hv[ht == e]) for e in np.unique(ht)}
@@ -220,12 +222,12 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
         terms.append(InvariantElement(elem))
 
     if not (terms[0].is_zero() and terms[1].is_zero()):
-        raise CatalogError("prefactor power mismatch")
+        raise CertificationError("prefactor power mismatch")
     num = JacobiQExpansion(8, 4, terms)
     quot = jf_div_modular(num, _mf(0, 0, 2, n_num))
     lam = _display_coeff(quot.term(0), "Σ_{16'}")
     if not lam:
-        raise CatalogError("projection lost the leading orbit; recipe broken")
+        raise CertificationError("projection lost the leading orbit; recipe broken")
     return quot.scale(1 / lam)
 
 
@@ -305,7 +307,7 @@ class Recipe:
         if self.lead:
             lam = _display_coeff(form.term(0), self.lead)
             if not lam:
-                raise CatalogError(
+                raise CertificationError(
                     f"normalization failed: no {self.lead} part at q^0"
                 )
             form = form.scale(1 / lam)
@@ -313,7 +315,7 @@ class Recipe:
             _, tail = _term(self.cancel, n)
             denom = _display_coeff(tail.term(2), "Σ_{16'}")
             if not denom:
-                raise CatalogError(
+                raise CertificationError(
                     "cancellation target missing from the subtracted form"
                 )
             lam = _display_coeff(form.term(2), "Σ_{16'}") / denom
@@ -366,7 +368,7 @@ def _combine(parts: list[tuple[Fraction, JacobiQExpansion]]) -> JacobiQExpansion
         return first
     kind = (first.weight, first.index)
     if any((f.weight, f.index) != kind for _, f in rest):
-        raise CatalogError("recipe terms disagree in weight or index")
+        raise CertificationError("recipe terms disagree in weight or index")
     order = min(f.order for _, f in parts)
     terms = []
     for n in range(order + 1):
@@ -384,7 +386,7 @@ def _b_a4(n: int) -> JacobiQExpansion:
 def _b_b3(n: int) -> JacobiQExpansion:
     basis = holomorphic_subspace(6, 3, max(n, 1))
     if len(basis) != 1:
-        raise CatalogError(f"expected a unique weight-6 form, got {len(basis)}")
+        raise CertificationError(f"expected a unique weight-6 form, got {len(basis)}")
     return basis[0].truncate(n)
 
 
@@ -590,7 +592,7 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
     if form.order > order:
         form = form.truncate(order)
     if (form.weight, form.index, form.order) != (entry.weight, entry.index, order):
-        raise CatalogError(f"builder contract broken for {name}")
+        raise CertificationError(f"builder contract broken for {name}")
     _build_cache[key] = form
     return form
 
@@ -640,7 +642,7 @@ def solve_cascade(t: int, w0: int, norms) -> CascadeSystem:
         ]
         w += 2
     if w != 0:
-        raise CatalogError(f"heat cascade from weight {w0} ended at weight {w}")
+        raise CertificationError(f"heat cascade from weight {w0} ended at weight {w}")
     rows.append(tuple(Fraction(2 * t - 3 * v) * mj for v, mj in zip(norms, m)))
     basis = nullspace([list(r) for r in rows], len(norms))
     return CascadeSystem(
@@ -790,7 +792,7 @@ def verify_free_module(
         cands = _weight_candidates(w, t, order)
         expected = sum(dim_modular(w - g.weight) for g in gens)
         if len(cands) != expected:
-            raise CatalogError(
+            raise CertificationError(
                 f"weight {w}: {len(cands)} candidates, free-module count {expected}"
             )
         if not cands:

@@ -1,9 +1,10 @@
 """Command-line interface: q-expansions, lattice queries, tables, verification.
 
 Exit codes: 0 success, 1 a verification suite found a failure, 2 usage or
-resource errors (unknown form, insufficient order, budget exceeded), 3 an
-internal error: any other RuntimeError, most often a failed certification
-(a result the library checks on every call did not hold).
+resource errors (unknown form, insufficient order, budget exceeded, a
+request the catalog cannot serve), 3 a failed certification
+(CertificationError: a result the library checks on every call did not
+hold) or any other internal RuntimeError.
 """
 from __future__ import annotations
 
@@ -509,7 +510,7 @@ def main(argv=None) -> int:
     except (BudgetError, CatalogError, KeyError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # CertificationError or another internal error
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:

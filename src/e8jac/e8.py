@@ -27,6 +27,7 @@ __all__ = [
     "E8Vector",
     "DominantWeight",
     "BudgetError",
+    "CertificationError",
     "SIMPLE_ROOTS",
     "FUNDAMENTAL_WEIGHTS",
     "HIGHEST_ROOT",
@@ -40,7 +41,6 @@ __all__ = [
     "orbit_size",
     "alcove",
     "shell",
-    "shell_by_enumeration",
     "coset_min_norm",
     "max_coset_min_norm",
     "max_pairing",
@@ -54,6 +54,10 @@ BUDGET_ENV = "E8JAC_BUDGET"
 
 class BudgetError(RuntimeError):
     """An enumeration would exceed the configured element budget."""
+
+
+class CertificationError(RuntimeError):
+    """A result the library checks on every call did not hold."""
 
 
 def element_budget(budget: int | None = None) -> int:
@@ -246,29 +250,6 @@ def dominant_reduce(v: E8Vector) -> DominantWeight:
             return DominantWeight(E8Vector(tuple(d)))
 
 
-def _batch_reduce_by_reflection(arr: np.ndarray) -> np.ndarray:
-    """Dominant-reduce every row by repeated single simple reflections.
-
-    One reflection per row per pass makes this slow on large batches with
-    long reduction words; kept as the reference implementation for
-    _batch_reduce.
-    """
-    v = np.array(arr, dtype=np.int64)
-    active = np.arange(len(v))
-    while active.size:
-        p4 = v[active] @ _A2.T
-        neg = p4 < 0
-        hit = neg.any(axis=1)
-        if not hit.any():
-            break
-        rows = active[hit]
-        first = neg[hit].argmax(axis=1)
-        coef = p4[hit, first] // 4
-        v[rows] -= coef[:, None] * _A2[first]
-        active = rows
-    return v
-
-
 def _pack(rows: np.ndarray) -> np.ndarray:
     """One uint64 key per row of an (n, 8) doubled-coordinate array.
 
@@ -387,7 +368,7 @@ def orbit_size(m: DominantWeight) -> int:
     stab = _stabilizer_order(m.fw)
     q, r = divmod(WEYL_ORDER, stab)
     if r:
-        raise RuntimeError(f"stabilizer order {stab} does not divide |W|")
+        raise CertificationError(f"stabilizer order {stab} does not divide |W|")
     return q
 
 
@@ -422,7 +403,7 @@ def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
         seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
         frontier = _unpack(fresh)
     if len(seen) != size:
-        raise RuntimeError("orbit closure disagrees with stabilizer order")
+        raise CertificationError("orbit closure disagrees with stabilizer order")
     out = _unpack(seen)
     out.setflags(write=False)
     _orbit_cache[key] = out
@@ -500,79 +481,7 @@ def _shell(two_n: int) -> tuple[tuple[DominantWeight, int], ...]:
     total = sum(s for _, s in out)
     expect = 1 if two_n == 0 else 240 * sigma_pow(two_n // 2, 3)
     if total != expect:
-        raise RuntimeError(f"shell {two_n}: {total} points, expected {expect}")
-    return out
-
-
-def _int_tuples4(max_sq: int, odd: bool) -> np.ndarray:
-    """All 4-tuples of (all-even-parity handled by caller) integers, |.|^2 <= max_sq."""
-    r = isqrt(max_sq)
-    vals = np.arange(-r, r + 1, dtype=np.int64)
-    if odd:
-        vals = vals[vals % 2 != 0]
-    grids = np.meshgrid(vals, vals, vals, vals, indexing="ij")
-    tup = np.stack([g.ravel() for g in grids], axis=1)
-    keep = (tup * tup).sum(axis=1) <= max_sq
-    return tup[keep]
-
-
-def _join_halves(half: np.ndarray, target: int, budget: int) -> np.ndarray:
-    """All 8-tuples (a | b) with a, b from `half` and |a|^2 + |b|^2 = target."""
-    ss = (half * half).sum(axis=1)
-    order = np.argsort(ss, kind="stable")
-    half, ss = half[order], ss[order]
-    values, starts = np.unique(ss, return_index=True)
-    ends = np.append(starts[1:], len(ss))
-    span = {int(v): (int(s), int(e)) for v, s, e in zip(values, starts, ends)}
-    total = sum(
-        (span[v][1] - span[v][0]) * (span[target - v][1] - span[target - v][0])
-        for v in span
-        if target - v in span
-    )
-    if total > budget:
-        raise BudgetError(f"enumeration of {total} candidates exceeds budget {budget}")
-    blocks = []
-    for v, (s1, e1) in span.items():
-        w = target - v
-        if w not in span:
-            continue
-        s2, e2 = span[w]
-        left = np.repeat(half[s1:e1], e2 - s2, axis=0)
-        right = np.tile(half[s2:e2], (e1 - s1, 1))
-        blocks.append(np.concatenate([left, right], axis=1))
-    if not blocks:
-        return np.empty((0, 8), dtype=np.int64)
-    return np.concatenate(blocks)
-
-
-def shell_by_enumeration(
-    two_n: int, budget: int | None = None
-) -> list[tuple[DominantWeight, int]]:
-    """Shell decomposition by the direct route: enumerate every lattice point
-    of the given norm, batch dominant-reduce, and bin.
-
-    Kept alongside shell() as the independent cross-check (meet-in-the-middle
-    join over coordinate halves; integer-coordinate and half-integer-coset
-    points handled as separate parity classes).
-    """
-    if two_n < 0 or two_n % 2:
-        raise ValueError("shell norm must be even and non-negative")
-    if two_n == 0:
-        return [(DominantWeight(ZERO), 1)]
-    limit = element_budget(budget)
-    # even class: d = 2y with sum(y) even and |y|^2 = 2n
-    even = _join_halves(_int_tuples4(two_n, odd=False), two_n, limit)
-    even = 2 * even[even.sum(axis=1) % 2 == 0]
-    # odd class: all d_i odd, sum d = 0 mod 4, |d|^2 = 8n
-    odd = _join_halves(_int_tuples4(4 * two_n, odd=True), 4 * two_n, limit)
-    odd = odd[odd.sum(axis=1) % 4 == 0]
-    points = np.concatenate([even, odd])
-    reduced = _batch_reduce(points)
-    keys, counts = np.unique(_pack(reduced), return_counts=True)
-    out = [
-        (DominantWeight(E8Vector(r)), int(c)) for r, c in zip(_unpack(keys), counts)
-    ]
-    out.sort(key=lambda pair: pair[0])
+        raise CertificationError(f"shell {two_n}: {total} points, expected {expect}")
     return out
 
 
@@ -607,7 +516,7 @@ def coset_min_norm(l: E8Vector, t: int) -> int:
         raise ValueError("index t must be positive")
     q, r = divmod(int(_decode_scaled(np.array([l.d], dtype=np.int64), t)[0]), 4)
     if r:
-        raise RuntimeError("scaled minimum must be divisible by 4")
+        raise CertificationError("scaled minimum must be divisible by 4")
     return q
 
 
@@ -623,7 +532,7 @@ def max_coset_min_norm(t: int) -> int:
     rows = alcove(t)
     norms4 = (rows * rows).sum(axis=1)
     if (_decode_scaled(rows, t) != norms4).any():
-        raise RuntimeError(f"an alcove point at t={t} is not its coset's minimum")
+        raise CertificationError(f"an alcove point at t={t} is not its coset's minimum")
     return int(norms4.max()) // 4
 
 

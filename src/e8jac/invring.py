@@ -31,7 +31,6 @@ __all__ = [
     "SIGMA_LABELS",
     "sigma_label",
     "label_weight",
-    "inv_mul_brute",
     "from_display",
 ]
 
@@ -338,30 +337,3 @@ def inv_mul(
             for m, w in _orbit_pair_product(m1, m2, budget).items():
                 acc[m] = acc.get(m, Fraction(0)) + c * w
     return InvariantElement(acc)
-
-
-def inv_mul_brute(m1: DominantWeight, m2: DominantWeight) -> dict[DominantWeight, Fraction]:
-    """Reference double-loop decomposition of orb(m1)·orb(m2): enumerate both
-    orbits, bin every sum a+b by its dominant representative, divide by orbit
-    sizes. Quadratic; for oracle tests only.
-
-    The binning runs on packed row keys; work is chunked to bound memory.
-    """
-    a = orbit_array(m1)
-    b = orbit_array(m2)
-    chunk = max(1, 2_000_000 // len(b))
-    keys: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
-    for lo in range(0, len(a), chunk):
-        sums = (a[lo:lo + chunk, None, :] + b[None, :, :]).reshape(-1, 8)
-        u, c = np.unique(_pack(_batch_reduce(sums)), return_counts=True)
-        keys.append(u)
-        counts.append(c)
-    uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    merged = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(merged, inverse, np.concatenate(counts))
-    out = {}
-    for row, n in zip(_unpack(uniq), merged):
-        m = DominantWeight(E8Vector(row))
-        out[m] = Fraction(int(n), orbit_size(m))
-    return out

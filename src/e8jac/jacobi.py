@@ -17,9 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .e8 import (
+    HIGHEST_ROOT,
     ZERO,
     DominantWeight,
     E8Vector,
+    _batch_reduce,
     coset_min_norm,
     dominant_reduce,
     orbit_array,
@@ -386,57 +388,48 @@ def weight0_identity(a: JacobiQExpansion) -> bool:
 def check_quasi_periodicity(
     a: JacobiQExpansion, samples: int = 100, seed: int = 0
 ) -> int:
-    """Verify f(n, l) = f(n', l + t·v) with n' = n + (l,v) + t(v,v)/2 on
-    randomly sampled stored coefficients and shifts v = w·(root), w = 1, 2.
+    """Verify f(n, l) = f(n', l + t·v) with n' = n + (l,v) + t(v,v)/2 for
+    shifts v = w·r over the 240 roots r and w = 1, 2.
 
-    Only triples with n' <= order are checkable at a finite truncation, and
-    for sparsely supported forms almost no blindly chosen (l, v) qualifies.
-    So the shift is sampled first and the orbit is then scanned (one
-    vectorized pass) for elements l whose image row lands in range; one of
-    those is picked at random. Returns the number of identity checks
-    performed; raises AssertionError on a mismatch.
+    For g in W, f(n, g·l) = f(n, l) and (g·l, g·v) = (l, v), and the shift
+    family is W-stable, so every check is one at l = m, a stored dominant
+    representative. A triple (n, m, v) is checkable when n' <= order; all
+    of them come out of one matrix over the stored (n, m) and the 480
+    shifts. The checks are np.resize(rng.permutation(K), samples) over the K
+    checkable triples: a random order of all of them, repeated up to
+    `samples`. So the check is exhaustive when samples >= K. The images
+    m + t·v are dominant-reduced in one batch. Returns `samples`; raises
+    AssertionError on a mismatch and RuntimeError when no triple is
+    checkable.
     """
     t = a.index
     if t == 0:
         raise ValueError("quasi-periodicity concerns index >= 1")
-    rng = np.random.default_rng(seed)
-    pool = [
-        (n, m)
-        for n in range(a.order + 1)
-        for m in a.terms[n].terms
-    ]
+    pool = [(n, m.v.d) for n in range(a.order + 1) for m in a.terms[n].terms]
     if not pool:
         return 0
-    from .e8 import HIGHEST_ROOT  # local to avoid a wide import surface
-
+    coeffs = [{m.v.d: c for m, c in term.terms.items()} for term in a.terms]
+    ns = np.array([n for n, _ in pool], dtype=np.int64)
+    rows = np.array([d for _, d in pool], dtype=np.int64)
     roots = orbit_array(DominantWeight(HIGHEST_ROOT))
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 500 * samples:
-            raise RuntimeError("could not find enough checkable triples")
-        n, m = pool[rng.integers(len(pool))]
-        arr = orbit_array(m)
-        r = roots[rng.integers(len(roots))]
-        w = int(rng.integers(1, 3))
-        # n' = n + w·(l, r) + t·w² across the whole orbit at once
-        n2_all = n + w * ((arr @ r) // 4) + t * w * w
-        ok = np.flatnonzero(n2_all <= a.order)
-        if not len(ok):
-            continue
-        pick = int(ok[rng.integers(len(ok))])
-        l = E8Vector(tuple(int(x) for x in arr[pick]))
-        v = E8Vector(tuple(w * int(x) for x in r))
-        n2 = int(n2_all[pick])
-        if n2 < 0:
-            raise AssertionError("support bound forbids negative image rows")
-        lhs = a.coefficient(n, l)
-        rhs = a.coefficient(n2, l + t * v)
+    shifts = np.concatenate([roots, 2 * roots])
+    ww = np.repeat(np.array([1, 4], dtype=np.int64), len(roots))  # (v,v)/2
+    n2_all = ns[:, None] + (rows @ shifts.T) // 4 + t * ww
+    if (n2_all < 0).any():
+        raise AssertionError("support bound forbids negative image rows")
+    src, shift = np.nonzero(n2_all <= a.order)
+    if not len(src):
+        raise RuntimeError("no checkable triple at this truncation")
+    pick = np.resize(np.random.default_rng(seed).permutation(len(src)), samples)
+    src, shift = src[pick], shift[pick]
+    images = _batch_reduce(rows[src] + t * shifts[shift])
+    for i, n2, img in zip(src.tolist(), n2_all[src, shift].tolist(), images.tolist()):
+        n, d = pool[i]
+        lhs = coeffs[n][d]
+        rhs = coeffs[n2].get(tuple(img), 0)
         if lhs != rhs:
             raise AssertionError(
-                f"quasi-periodicity broken: f({n},{l.d}) = {lhs} but "
-                f"f({n2}, shifted) = {rhs}"
+                f"quasi-periodicity broken: f({n},{d}) = {lhs} but "
+                f"f({n2},{tuple(img)}) = {rhs}"
             )
-        done += 1
-    return done
+    return samples

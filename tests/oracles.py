@@ -1,0 +1,202 @@
+"""Slow reference routes kept as test oracles for the library's fast paths.
+
+Each function here is an independent way to compute what a library
+function computes, and is used only by the tests:
+
+* ``inv_mul_brute`` for ``invring.inv_mul`` (orbit-pair products);
+* ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
+* ``shell_by_enumeration`` for ``e8.shell``;
+* ``check_quasi_periodicity_by_orbit_scan`` for
+  ``jacobi.check_quasi_periodicity``.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import isqrt
+
+import numpy as np
+
+from e8jac.e8 import (
+    _A2,
+    HIGHEST_ROOT,
+    ZERO,
+    BudgetError,
+    DominantWeight,
+    E8Vector,
+    _batch_reduce,
+    _pack,
+    _unpack,
+    element_budget,
+    orbit_array,
+    orbit_size,
+)
+
+
+def inv_mul_brute(m1: DominantWeight, m2: DominantWeight) -> dict[DominantWeight, Fraction]:
+    """Reference double-loop decomposition of orb(m1)·orb(m2): enumerate both
+    orbits, bin every sum a+b by its dominant representative, divide by orbit
+    sizes. Quadratic.
+
+    The binning runs on packed row keys; work is chunked to bound memory.
+    """
+    a = orbit_array(m1)
+    b = orbit_array(m2)
+    chunk = max(1, 2_000_000 // len(b))
+    keys: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    for lo in range(0, len(a), chunk):
+        sums = (a[lo:lo + chunk, None, :] + b[None, :, :]).reshape(-1, 8)
+        u, c = np.unique(_pack(_batch_reduce(sums)), return_counts=True)
+        keys.append(u)
+        counts.append(c)
+    uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    merged = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(merged, inverse, np.concatenate(counts))
+    out = {}
+    for row, n in zip(_unpack(uniq), merged):
+        m = DominantWeight(E8Vector(row))
+        out[m] = Fraction(int(n), orbit_size(m))
+    return out
+
+
+def _batch_reduce_by_reflection(arr: np.ndarray) -> np.ndarray:
+    """Dominant-reduce every row by repeated single simple reflections.
+
+    One reflection per row per pass makes this slow on large batches with
+    long reduction words.
+    """
+    v = np.array(arr, dtype=np.int64)
+    active = np.arange(len(v))
+    while active.size:
+        p4 = v[active] @ _A2.T
+        neg = p4 < 0
+        hit = neg.any(axis=1)
+        if not hit.any():
+            break
+        rows = active[hit]
+        first = neg[hit].argmax(axis=1)
+        coef = p4[hit, first] // 4
+        v[rows] -= coef[:, None] * _A2[first]
+        active = rows
+    return v
+
+
+def _int_tuples4(max_sq: int, odd: bool) -> np.ndarray:
+    """All 4-tuples of (all-even-parity handled by caller) integers, |.|^2 <= max_sq."""
+    r = isqrt(max_sq)
+    vals = np.arange(-r, r + 1, dtype=np.int64)
+    if odd:
+        vals = vals[vals % 2 != 0]
+    grids = np.meshgrid(vals, vals, vals, vals, indexing="ij")
+    tup = np.stack([g.ravel() for g in grids], axis=1)
+    keep = (tup * tup).sum(axis=1) <= max_sq
+    return tup[keep]
+
+
+def _join_halves(half: np.ndarray, target: int, budget: int) -> np.ndarray:
+    """All 8-tuples (a | b) with a, b from `half` and |a|^2 + |b|^2 = target."""
+    ss = (half * half).sum(axis=1)
+    order = np.argsort(ss, kind="stable")
+    half, ss = half[order], ss[order]
+    values, starts = np.unique(ss, return_index=True)
+    ends = np.append(starts[1:], len(ss))
+    span = {int(v): (int(s), int(e)) for v, s, e in zip(values, starts, ends)}
+    total = sum(
+        (span[v][1] - span[v][0]) * (span[target - v][1] - span[target - v][0])
+        for v in span
+        if target - v in span
+    )
+    if total > budget:
+        raise BudgetError(f"enumeration of {total} candidates exceeds budget {budget}")
+    blocks = []
+    for v, (s1, e1) in span.items():
+        w = target - v
+        if w not in span:
+            continue
+        s2, e2 = span[w]
+        left = np.repeat(half[s1:e1], e2 - s2, axis=0)
+        right = np.tile(half[s2:e2], (e1 - s1, 1))
+        blocks.append(np.concatenate([left, right], axis=1))
+    if not blocks:
+        return np.empty((0, 8), dtype=np.int64)
+    return np.concatenate(blocks)
+
+
+def shell_by_enumeration(
+    two_n: int, budget: int | None = None
+) -> list[tuple[DominantWeight, int]]:
+    """Shell decomposition by the direct route: enumerate every lattice point
+    of the given norm, batch dominant-reduce, and bin.
+
+    Meet-in-the-middle join over coordinate halves; integer-coordinate and
+    half-integer-coset points handled as separate parity classes.
+    """
+    if two_n < 0 or two_n % 2:
+        raise ValueError("shell norm must be even and non-negative")
+    if two_n == 0:
+        return [(DominantWeight(ZERO), 1)]
+    limit = element_budget(budget)
+    # even class: d = 2y with sum(y) even and |y|^2 = 2n
+    even = _join_halves(_int_tuples4(two_n, odd=False), two_n, limit)
+    even = 2 * even[even.sum(axis=1) % 2 == 0]
+    # odd class: all d_i odd, sum d = 0 mod 4, |d|^2 = 8n
+    odd = _join_halves(_int_tuples4(4 * two_n, odd=True), 4 * two_n, limit)
+    odd = odd[odd.sum(axis=1) % 4 == 0]
+    points = np.concatenate([even, odd])
+    reduced = _batch_reduce(points)
+    keys, counts = np.unique(_pack(reduced), return_counts=True)
+    out = [
+        (DominantWeight(E8Vector(r)), int(c)) for r, c in zip(_unpack(keys), counts)
+    ]
+    out.sort(key=lambda pair: pair[0])
+    return out
+
+
+def check_quasi_periodicity_by_orbit_scan(a, samples: int = 100, seed: int = 0) -> int:
+    """Verify f(n, l) = f(n', l + t·v) with n' = n + (l,v) + t(v,v)/2 on
+    randomly sampled stored coefficients and shifts v = w·(root), w = 1, 2.
+
+    The shift is sampled first and the whole orbit of a sampled support
+    weight is then scanned for elements l whose image row lands in range;
+    one of those is picked at random, and both sides are looked up through
+    dominant reduction. Returns the number of identity checks performed;
+    raises AssertionError on a mismatch.
+    """
+    t = a.index
+    if t == 0:
+        raise ValueError("quasi-periodicity concerns index >= 1")
+    rng = np.random.default_rng(seed)
+    pool = [(n, m) for n in range(a.order + 1) for m in a.terms[n].terms]
+    if not pool:
+        return 0
+    roots = orbit_array(DominantWeight(HIGHEST_ROOT))
+    done = 0
+    attempts = 0
+    while done < samples:
+        attempts += 1
+        if attempts > 500 * samples:
+            raise RuntimeError("could not find enough checkable triples")
+        n, m = pool[rng.integers(len(pool))]
+        arr = orbit_array(m)
+        r = roots[rng.integers(len(roots))]
+        w = int(rng.integers(1, 3))
+        # n' = n + w·(l, r) + t·w² across the whole orbit at once
+        n2_all = n + w * ((arr @ r) // 4) + t * w * w
+        ok = np.flatnonzero(n2_all <= a.order)
+        if not len(ok):
+            continue
+        pick = int(ok[rng.integers(len(ok))])
+        l = E8Vector(tuple(int(x) for x in arr[pick]))
+        v = E8Vector(tuple(w * int(x) for x in r))
+        n2 = int(n2_all[pick])
+        if n2 < 0:
+            raise AssertionError("support bound forbids negative image rows")
+        lhs = a.coefficient(n, l)
+        rhs = a.coefficient(n2, l + t * v)
+        if lhs != rhs:
+            raise AssertionError(
+                f"quasi-periodicity broken: f({n},{l.d}) = {lhs} but "
+                f"f({n2}, shifted) = {rhs}"
+            )
+        done += 1
+    return done

@@ -6,8 +6,13 @@ own.  The slow entry is test_12 (the orbit-product oracle sweep); everything
 else runs in seconds.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+import e8jac
 
 from e8jac import (
     REGISTRY,
@@ -36,7 +41,7 @@ from e8jac import (
     verify_free_module,
     weight0_identity,
 )
-from e8jac.invring import inv_mul_brute
+from oracles import inv_mul_brute
 
 F = Fraction
 
@@ -245,3 +250,52 @@ def test_14_dimension_bounds():
     assert rows[1] == (
         6, 0, "forced to zero: no invariant form of weight 6, index 1"
     )
+
+
+_PROPERTIES_UNDER_OPTIMIZE = """
+import numpy as np
+from e8jac import (HIGHEST_ROOT, REGISTRY, DominantWeight, build,
+                   check_quasi_periodicity, classify, coset_min_norm,
+                   orbit_array, weight0_identity)
+roots = orbit_array(DominantWeight(HIGHEST_ROOT))
+forms = checks = 0
+for name, entry in sorted(REGISTRY.items()):
+    if not entry.buildable:
+        continue
+    f = build(name)
+    t = f.index
+    if classify(f).kind != entry.expected_class:
+        print("classify", name)
+    k = 0
+    for n in range(f.order + 1):
+        for m in f.term(n).terms:
+            if 2 * n * t - m.norm() < -coset_min_norm(m.v, t):
+                print("support bound", name, n)
+            dots = roots @ np.array(m.v.d) // 4
+            k += sum(int((n + w * dots + t * w * w <= f.order).sum())
+                     for w in (1, 2))
+    try:
+        checks += check_quasi_periodicity(f, samples=k)
+    except AssertionError as exc:
+        print("quasi-periodicity", name, exc)
+    if not f.term(0).t_support_check(t)[0]:
+        print("T(m) support", name)
+    if f.weight == 0 and not weight0_identity(f):
+        print("weight-0 identity", name)
+    forms += 1
+print(forms, "forms,", checks, "checks")
+"""
+
+
+def test_15_form_properties_under_optimize():
+    # the same properties as test_11, with every checkable quasi-periodicity
+    # triple, under python -O: the library must not lean on assert
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("E8JAC_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PROPERTIES_UNDER_OPTIMIZE],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "46 forms, 37348 checks"

@@ -15,6 +15,7 @@ import pytest
 import e8jac
 from e8jac import (
     CatalogError,
+    CertificationError,
     DominantWeight,
     REGISTRY,
     build,
@@ -150,7 +151,7 @@ def test_recipes_evaluate_like_operators():
 def test_build_contract_is_an_exception(monkeypatch):
     entry = REGISTRY["x4"]
     monkeypatch.setitem(REGISTRY, "x4", replace(entry, builder=theta_e8))
-    with pytest.raises(CatalogError, match="contract"):
+    with pytest.raises(CertificationError, match="contract"):
         build("x4", 5)
 
 
@@ -158,7 +159,7 @@ def test_free_module_count_is_an_exception(monkeypatch):
     import e8jac.catalog as catalog
 
     monkeypatch.setattr(catalog, "dim_modular", lambda k: 7)
-    with pytest.raises(CatalogError, match="candidates"):
+    with pytest.raises(CertificationError, match="candidates"):
         verify_free_module(1, 8, order=1)
 
 
@@ -573,7 +574,7 @@ _PATCHED_BLOCK = (
     "c._theta_pair_block = patched\n"
     "try:\n"
     "    c.build_phi16_4(0)\n"
-    "except c.CatalogError as e:\n"
+    "except c.CertificationError as e:\n"
     "    print(e)\n"
 )
 

@@ -2,10 +2,11 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from e8jac import REGISTRY, JacobiQExpansion, build
+from e8jac import REGISTRY, JacobiQExpansion, build, theta_e8
 from e8jac.cli import main, _SUITES
 from e8jac.e8 import BUDGET_ENV
 
@@ -118,6 +119,19 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: shell 8") and err.count("\n") == 1
+
+
+def test_catalog_certification_failure_exits_3(capsys, monkeypatch):
+    # a builder that returns the wrong form breaks the builder contract,
+    # which is a failed certification, not a usage error
+    import e8jac.catalog as catalog
+
+    monkeypatch.setitem(REGISTRY, "x4", replace(REGISTRY["x4"], builder=theta_e8))
+    monkeypatch.setattr(catalog, "_build_cache", {})
+    code, out, err = run(capsys, "expand", "--form", "x4")
+    assert code == 3
+    assert out == ""
+    assert err == "error: builder contract broken for x4\n"
 
 
 def test_rank_text(capsys):

@@ -17,7 +17,7 @@ from e8jac import (
     sigma_label,
     SIGMA_LABELS,
 )
-from e8jac.invring import inv_mul_brute
+from oracles import inv_mul_brute
 
 W8 = DominantWeight.from_fw((0, 0, 0, 0, 0, 0, 0, 1))
 W1 = DominantWeight.from_fw((1, 0, 0, 0, 0, 0, 0, 0))

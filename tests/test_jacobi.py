@@ -7,11 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import e8jac
 from e8jac import (
     HIGHEST_ROOT,
+    REGISTRY,
     DominantWeight,
     E8Vector,
     InvariantElement,
@@ -27,10 +29,12 @@ from e8jac import (
     jf_div_modular,
     jf_mul,
     jf_scale,
+    orbit_array,
     rescale_z,
     theta_e8,
     weight0_identity,
 )
+from oracles import check_quasi_periodicity_by_orbit_scan
 
 W8 = DominantWeight.from_fw((0, 0, 0, 0, 0, 0, 0, 1))
 W1 = DominantWeight.from_fw((1, 0, 0, 0, 0, 0, 0, 0))
@@ -280,6 +284,81 @@ def test_quasi_periodicity_catches_corruption_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "AssertionError"
+
+
+def _buildable_forms():
+    return [build(name) for name, entry in sorted(REGISTRY.items())
+            if entry.buildable]
+
+
+def _checkable_triples(f):
+    """How many (n, l, v) have a stored orbit l at q^n, a shift v = w·r
+    (r a root, w = 1, 2) and n + (l,v) + t·w² within the truncation."""
+    roots = orbit_array(DominantWeight(HIGHEST_ROOT))
+    count = 0
+    for n in range(f.order + 1):
+        for m in f.term(n).terms:
+            pairings = roots @ np.array(m.v.d) // 4
+            for w in (1, 2):
+                count += int((n + w * pairings + f.index * w * w <= f.order).sum())
+    return count
+
+
+def _corrupt_theta():
+    terms = list(theta_e8(4).terms)
+    terms[2] = terms[2] + InvariantElement.orbit_sum(W1, 7)
+    return JacobiQExpansion(4, 1, terms)
+
+
+def _corrupt_phi_m4_2():
+    f = build("phi_-4_2")
+    q1 = dict(f.terms[1].terms)
+    q1[min(q1)] += 1
+    return JacobiQExpansion(f.weight, f.index,
+                            [f.terms[0], InvariantElement(q1)] + f.terms[2:])
+
+
+def test_quasi_periodicity_exhaustive_on_every_form():
+    # samples >= the number of checkable triples checks every one of them
+    total = 0
+    for f in _buildable_forms():
+        k = _checkable_triples(f)
+        assert check_quasi_periodicity(f, samples=k) == k, f
+        total += k
+    assert total == 37348
+
+
+def test_exhaustive_quasi_periodicity_catches_corruption_for_every_seed():
+    bad = _corrupt_phi_m4_2()
+    k = _checkable_triples(bad)
+    for seed in range(10):
+        with pytest.raises(AssertionError, match="quasi-periodicity broken"):
+            check_quasi_periodicity(bad, samples=k, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "check", [check_quasi_periodicity, check_quasi_periodicity_by_orbit_scan])
+def test_quasi_periodicity_agrees_with_orbit_scan(check):
+    for f in _buildable_forms():
+        assert check(f, samples=20, seed=7) == 20, f
+    with pytest.raises(AssertionError):
+        check(_corrupt_theta(), samples=60, seed=0)
+    with pytest.raises(AssertionError):
+        check(_corrupt_phi_m4_2(), samples=200)
+
+
+def test_quasi_periodicity_closes_only_the_root_orbit():
+    forms = [build(name) for name in ("b2", "u12_2", "v14_2", "w16_2", "x2")]
+    before = set(e8jac.e8._orbit_cache)
+    for f in forms:
+        assert check_quasi_periodicity(f) == 100
+    assert set(e8jac.e8._orbit_cache) - before <= {HIGHEST_ROOT.d}
+
+
+def test_quasi_periodicity_needs_a_checkable_triple():
+    # at order 0 every index-1 shift lands at q^1 or beyond
+    with pytest.raises(RuntimeError, match="no checkable triple"):
+        check_quasi_periodicity(theta_e8(0))
 
 
 def test_package_has_no_assert_statements():
