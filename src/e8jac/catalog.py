@@ -36,6 +36,7 @@ from .jacobi import (
     heat,
     hecke_t_minus,
     jf_div_modular,
+    jf_lincomb,
     jf_mul,
     jf_scale,
     rescale_z,
@@ -301,7 +302,9 @@ class Recipe:
                 "the cancellation rule reads the q^2 term; build with order >= 2"
             )
         k = n + 1 if self.over_delta else n
-        form = _combine([_term(t, k) for t in self.terms])
+        parts = [_term(t, k) for t in self.terms]
+        _check_kinds(f for _, f in parts)
+        form = jf_lincomb(parts)
         if self.over_delta:
             form = jf_div_modular(form, _mf(0, 0, 1, k))
         if self.lead:
@@ -313,13 +316,14 @@ class Recipe:
             form = form.scale(1 / lam)
         if self.cancel:
             _, tail = _term(self.cancel, n)
+            _check_kinds((form, tail))
             denom = _display_coeff(tail.term(2), "Σ_{16'}")
             if not denom:
                 raise CertificationError(
                     "cancellation target missing from the subtracted form"
                 )
             lam = _display_coeff(form.term(2), "Σ_{16'}") / denom
-            form = _combine([(Fraction(1), form), (-lam, tail)])
+            form = jf_lincomb([(1, form), (-lam, tail)])
         return form
 
     def __str__(self) -> str:
@@ -361,22 +365,10 @@ def _term(t: Term, n: int) -> tuple[Fraction, JacobiQExpansion]:
     return t.coeff, form
 
 
-def _combine(parts: list[tuple[Fraction, JacobiQExpansion]]) -> JacobiQExpansion:
-    """The sum of c·form over the parts, validated once."""
-    (c0, first), *rest = parts
-    if not rest and c0 == 1:
-        return first
-    kind = (first.weight, first.index)
-    if any((f.weight, f.index) != kind for _, f in rest):
+def _check_kinds(forms) -> None:
+    """Raise unless the forms summed by a recipe share one weight and index."""
+    if len({(f.weight, f.index) for f in forms}) > 1:
         raise CertificationError("recipe terms disagree in weight or index")
-    order = min(f.order for _, f in parts)
-    terms = []
-    for n in range(order + 1):
-        acc = InvariantElement.zero()
-        for c, f in parts:
-            acc = acc + f.terms[n].scale(c)
-        terms.append(acc)
-    return JacobiQExpansion(*kind, terms)
 
 
 def _b_a4(n: int) -> JacobiQExpansion:
@@ -741,14 +733,10 @@ def holomorphic_subspace(weight: int, t: int, order: int) -> list[JacobiQExpansi
         [c.term(n).coeff(mm) for c in cands] for n, mm in constraints
     ]
     coeffs = nullspace(matrix, len(cands))
-    basis = []
-    for vec in coeffs:
-        form = JacobiQExpansion.zero(weight, t, order)
-        for x, c in zip(vec, cands):
-            if x:
-                form = form + c.scale(x)
-        basis.append(_normalize_solution(form))
-    return basis
+    return [
+        _normalize_solution(jf_lincomb([(x, c) for x, c in zip(vec, cands) if x]))
+        for vec in coeffs
+    ]
 
 
 def _normalize_solution(form: JacobiQExpansion) -> JacobiQExpansion:

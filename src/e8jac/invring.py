@@ -32,6 +32,7 @@ __all__ = [
     "sigma_label",
     "label_weight",
     "from_display",
+    "lincomb",
 ]
 
 
@@ -137,20 +138,22 @@ class InvariantElement:
         return max((m.norm() for m in self.terms), default=0)
 
     def __add__(self, other: "InvariantElement") -> "InvariantElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return InvariantElement(out)
+        return lincomb(((1, self), (1, other)))
 
     def __sub__(self, other: "InvariantElement") -> "InvariantElement":
-        return self + (-other)
+        return lincomb(((1, self), (-1, other)))
 
     def __neg__(self) -> "InvariantElement":
-        return InvariantElement({m: -c for m, c in self.terms.items()})
+        return lincomb(((-1, self),))
 
     def scale(self, c) -> "InvariantElement":
-        c = Fraction(c)
-        return InvariantElement({m: c * v for m, v in self.terms.items()})
+        return lincomb(((c, self),))
+
+    def dilate(self, c: int) -> "InvariantElement":
+        """The substitution z -> c·z: orb(m) -> orb(c·m) for a positive integer c."""
+        out = InvariantElement()
+        out.terms = {DominantWeight(c * m.v): v for m, v in self.terms.items()}
+        return out
 
     __rmul__ = scale
 
@@ -277,19 +280,35 @@ class InvariantElement:
         )
 
 
+def lincomb(pairs) -> InvariantElement:
+    """The sum of c·x over the (c, x) pairs, accumulated in one dict with zero
+    sums pruned. The coefficients of x are Fractions already: only c is coerced."""
+    acc: dict[DominantWeight, Fraction] = {}
+    for c, x in pairs:
+        c = Fraction(c)
+        if not c:
+            continue
+        scaled = x.terms.items() if c == 1 else (
+            (m, c * v) for m, v in x.terms.items()
+        )
+        for m, v in scaled:
+            acc[m] = acc[m] + v if m in acc else v
+    out = InvariantElement()
+    out.terms = {m: v for m, v in acc.items() if v}
+    return out
+
+
+def _display_unit(label: str | None) -> InvariantElement:
+    """The element displayed as 1 on the label (None: the constant)."""
+    if label is None:
+        return InvariantElement.constant(1)
+    m = label_weight(label)
+    return InvariantElement.orbit_sum(m, Fraction(240, orbit_size(m)))
+
+
 def from_display(pairs) -> InvariantElement:
     """Rebuild an element from (label, display-coefficient) pairs."""
-    terms: dict[DominantWeight, Fraction] = {}
-    for label, c in pairs:
-        if label is None:
-            m = DominantWeight(ZERO)
-            terms[m] = terms.get(m, Fraction(0)) + Fraction(c)
-        else:
-            m = label_weight(label)
-            terms[m] = terms.get(m, Fraction(0)) + Fraction(c) * Fraction(
-                240, orbit_size(m)
-            )
-    return InvariantElement(terms)
+    return lincomb((c, _display_unit(label)) for label, c in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +319,12 @@ def from_display(pairs) -> InvariantElement:
 # the pair count #{(a,b) : a+b in orbit(m)} is constant along the orbit of
 # the second factor, so one pass over the smaller orbit suffices.
 
-_pair_cache: dict[tuple, dict[DominantWeight, Fraction]] = {}
+_pair_cache: dict[tuple, InvariantElement] = {}
 
 
 def _orbit_pair_product(
     m1: DominantWeight, m2: DominantWeight, budget: int | None = None
-) -> dict[DominantWeight, Fraction]:
+) -> InvariantElement:
     if orbit_size(m1) > orbit_size(m2):
         m1, m2 = m2, m1
     key = (m1.v.d, m2.v.d)
@@ -313,15 +332,15 @@ def _orbit_pair_product(
     if cached is not None:
         return cached
     if m2.v == ZERO:  # identity element
-        out = {m1: Fraction(1)}
+        out = InvariantElement.orbit_sum(m1)
     else:
         shifted = orbit_array(m1, budget) + np.array(m2.v.d, dtype=np.int64)
         keys, counts = np.unique(_pack(_batch_reduce(shifted)), return_counts=True)
         size2 = orbit_size(m2)
-        out = {}
+        out = InvariantElement()
         for rep, u in zip(_unpack(keys), counts):
             m = DominantWeight(E8Vector(rep))
-            out[m] = Fraction(int(u) * size2, orbit_size(m))
+            out.terms[m] = Fraction(int(u) * size2, orbit_size(m))
     _pair_cache[key] = out
     return out
 
@@ -330,10 +349,8 @@ def inv_mul(
     x: InvariantElement, y: InvariantElement, budget: int | None = None
 ) -> InvariantElement:
     """Product of two invariant elements, re-expressed in orbit sums."""
-    acc: dict[DominantWeight, Fraction] = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            c = c1 * c2
-            for m, w in _orbit_pair_product(m1, m2, budget).items():
-                acc[m] = acc.get(m, Fraction(0)) + c * w
-    return InvariantElement(acc)
+    return lincomb(
+        (c1 * c2, _orbit_pair_product(m1, m2, budget))
+        for m1, c1 in x.terms.items()
+        for m2, c2 in y.terms.items()
+    )

@@ -27,12 +27,13 @@ from .e8 import (
     orbit_array,
     shell,
 )
-from .invring import InvariantElement
+from .invring import InvariantElement, lincomb
 from .qseries import ModularQSeries, eisenstein
 
 __all__ = [
     "JacobiQExpansion",
     "theta_e8",
+    "jf_lincomb",
     "jf_mul",
     "jf_scale",
     "jf_div_modular",
@@ -105,29 +106,16 @@ class JacobiQExpansion:
         return all(t.is_zero() for t in self.terms)
 
     def __add__(self, other: "JacobiQExpansion") -> "JacobiQExpansion":
-        if (self.weight, self.index) != (other.weight, other.index):
-            raise ValueError(
-                f"weight/index mismatch: ({self.weight},{self.index}) vs "
-                f"({other.weight},{other.index})"
-            )
-        n = min(self.order, other.order)
-        return JacobiQExpansion(
-            self.weight,
-            self.index,
-            [self.terms[i] + other.terms[i] for i in range(n + 1)],
-        )
+        return jf_lincomb([(1, self), (1, other)])
 
     def __sub__(self, other: "JacobiQExpansion") -> "JacobiQExpansion":
-        return self + (-other)
+        return jf_lincomb([(1, self), (-1, other)])
 
     def __neg__(self) -> "JacobiQExpansion":
-        return self.scale(-1)
+        return jf_lincomb([(-1, self)])
 
     def scale(self, c) -> "JacobiQExpansion":
-        c = Fraction(c)
-        return JacobiQExpansion(
-            self.weight, self.index, [t.scale(c) for t in self.terms]
-        )
+        return jf_lincomb([(c, self)])
 
     __rmul__ = scale
 
@@ -201,31 +189,39 @@ def theta_e8(order: int) -> JacobiQExpansion:
     return JacobiQExpansion(4, 1, terms)
 
 
+def jf_lincomb(parts) -> JacobiQExpansion:
+    """The sum of c·form over the (c, form) parts, which share one weight and
+    index, truncated to their smallest order and validated once."""
+    (c0, first), *rest = parts = list(parts)
+    if not rest and c0 == 1:
+        return first
+    kinds = {(f.weight, f.index) for _, f in parts}
+    if len(kinds) > 1:
+        raise ValueError(f"weight/index mismatch: {sorted(kinds)}")
+    order = min(f.order for _, f in parts)
+    terms = [lincomb((c, f.terms[n]) for c, f in parts) for n in range(order + 1)]
+    return JacobiQExpansion(first.weight, first.index, terms)
+
+
 def jf_mul(a: JacobiQExpansion, b: JacobiQExpansion) -> JacobiQExpansion:
     """Product: weights and indices add; order is the smaller of the two."""
-    n = min(a.order, b.order)
-    terms = []
-    for k in range(n + 1):
-        acc = InvariantElement.zero()
-        for i in range(k + 1):
-            ai, bj = a.terms[i], b.terms[k - i]
-            if ai.is_zero() or bj.is_zero():
-                continue
-            acc = acc + ai * bj
-        terms.append(acc)
+    terms = [
+        lincomb(
+            (1, a.terms[i] * b.terms[k - i])
+            for i in range(k + 1)
+            if a.terms[i].terms and b.terms[k - i].terms
+        )
+        for k in range(min(a.order, b.order) + 1)
+    ]
     return JacobiQExpansion(a.weight + b.weight, a.index + b.index, terms)
 
 
 def jf_scale(a: JacobiQExpansion, f: ModularQSeries) -> JacobiQExpansion:
     """Multiply by a modular q-series: index unchanged, weight adds."""
-    n = min(a.order, f.order)
-    terms = []
-    for k in range(n + 1):
-        acc = InvariantElement.zero()
-        for i in range(k + 1):
-            if f[i]:
-                acc = acc + a.terms[k - i].scale(f[i])
-        terms.append(acc)
+    terms = [
+        lincomb((f[i], a.terms[k - i]) for i in range(k + 1))
+        for k in range(min(a.order, f.order) + 1)
+    ]
     return JacobiQExpansion(a.weight + f.weight, a.index, terms)
 
 
@@ -248,14 +244,13 @@ def jf_div_modular(a: JacobiQExpansion, f: ModularQSeries) -> JacobiQExpansion:
     n_top = min(a.order, f.order) - v
     if n_top < 0:
         raise ValueError(f"need at least {v + 1} terms to divide by valuation {v}")
-    lead = f[v]
+    inv = 1 / Fraction(f[v])
     out: list[InvariantElement] = []
     for n in range(n_top + 1):
-        acc = a.terms[n + v]
-        for j in range(1, n + 1):
-            if f[v + j]:
-                acc = acc - out[n - j].scale(f[v + j])
-        out.append(acc.scale(Fraction(1) / lead))
+        out.append(lincomb(
+            [(inv, a.terms[n + v])]
+            + [(-inv * f[v + j], out[n - j]) for j in range(1, n + 1)]
+        ))
     return JacobiQExpansion(a.weight - f.weight, a.index, out)
 
 
@@ -272,15 +267,12 @@ def heat(a: JacobiQExpansion) -> JacobiQExpansion:
         raise ValueError("heat operator needs index >= 1")
     k = a.weight
     corr = jf_scale(a, eisenstein(2, a.order) * Fraction(4 - k, 12))
-    terms = []
-    for n in range(a.order + 1):
-        part = InvariantElement(
-            {
-                m: c * (n - Fraction(m.norm(), 2 * t))
-                for m, c in a.terms[n].terms.items()
-            }
-        )
-        terms.append(part + corr.terms[n])
+    terms = [
+        InvariantElement(
+            {m: c * (n - Fraction(m.norm(), 2 * t)) for m, c in x.terms.items()}
+        ) + corr.terms[n]
+        for n, x in enumerate(a.terms)
+    ]
     return JacobiQExpansion(k + 2, t, terms)
 
 
@@ -307,19 +299,14 @@ def hecke_t_minus(
             )
         out_order = order
     k = a.weight
-    terms = []
-    for n in range(out_order + 1):
-        acc: dict[DominantWeight, Fraction] = {}
-        for d in range(1, s + 1):
-            # d must divide gcd(n, s), where gcd(0, s) = s
-            if s % d or (n % d if n else 0):
-                continue
-            src = a.terms[n * s // (d * d)]
-            factor = Fraction(d) ** (k - 1)
-            for m, c in src.terms.items():
-                md = DominantWeight(d * m.v)
-                acc[md] = acc.get(md, Fraction(0)) + factor * c
-        terms.append(InvariantElement(acc))
+    terms = [
+        lincomb(
+            (Fraction(d) ** (k - 1), a.terms[n * s // (d * d)].dilate(d))
+            for d in range(1, s + 1)
+            if not (s % d or n % d)  # d divides gcd(n, s); gcd(0, s) = s
+        )
+        for n in range(out_order + 1)
+    ]
     return JacobiQExpansion(k, a.index * s, terms)
 
 
@@ -327,11 +314,7 @@ def rescale_z(a: JacobiQExpansion, c: int) -> JacobiQExpansion:
     """Substitute z -> c·z: index multiplies by c², orbits dilate, orb(m) -> orb(c·m)."""
     if c < 1:
         raise ValueError("rescaling factor must be a positive integer")
-    terms = [
-        InvariantElement({DominantWeight(c * m.v): v for m, v in t.terms.items()})
-        for t in a.terms
-    ]
-    return JacobiQExpansion(a.weight, a.index * c * c, terms)
+    return JacobiQExpansion(a.weight, a.index * c * c, [t.dilate(c) for t in a.terms])
 
 
 class ClassifyResult:
@@ -394,18 +377,21 @@ def check_quasi_periodicity(
     For g in W, f(n, g·l) = f(n, l) and (g·l, g·v) = (l, v), and the shift
     family is W-stable, so every check is one at l = m, a stored dominant
     representative. A triple (n, m, v) is checkable when n' <= order; all
-    of them come out of one matrix over the stored (n, m) and the 480
-    shifts. The checks are np.resize(rng.permutation(K), samples) over the K
-    checkable triples: a random order of all of them, repeated up to
-    `samples`. So the check is exhaustive when samples >= K. The images
-    m + t·v are dominant-reduced in one batch. Returns `samples`; raises
-    AssertionError on a mismatch and RuntimeError when no triple is
-    checkable.
+    of them come out of one matrix over the stored (n, m), sorted by n and
+    doubled row, and the 480 shifts. The checks are
+    np.resize(rng.permutation(K), samples) over the K checkable triples: a
+    random order of all of them, repeated up to `samples`, which depends
+    only on the form's values and the seed. So the check is exhaustive when
+    samples >= K. The images m + t·v are dominant-reduced in one batch.
+    Returns `samples`; raises AssertionError on a mismatch and RuntimeError
+    when no triple is checkable.
     """
     t = a.index
     if t == 0:
         raise ValueError("quasi-periodicity concerns index >= 1")
-    pool = [(n, m.v.d) for n in range(a.order + 1) for m in a.terms[n].terms]
+    pool = sorted(
+        (n, m.v.d) for n in range(a.order + 1) for m in a.terms[n].terms
+    )
     if not pool:
         return 0
     coeffs = [{m.v.d: c for m, c in term.terms.items()} for term in a.terms]

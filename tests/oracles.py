@@ -7,7 +7,8 @@ function computes, and is used only by the tests:
 * ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
 * ``shell_by_enumeration`` for ``e8.shell``;
 * ``check_quasi_periodicity_by_orbit_scan`` for
-  ``jacobi.check_quasi_periodicity``.
+  ``jacobi.check_quasi_periodicity``;
+* ``lincomb_by_fold`` for ``invring.lincomb``.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from e8jac.e8 import (
     orbit_array,
     orbit_size,
 )
+from e8jac.invring import InvariantElement
 
 
 def inv_mul_brute(m1: DominantWeight, m2: DominantWeight) -> dict[DominantWeight, Fraction]:
@@ -200,3 +202,18 @@ def check_quasi_periodicity_by_orbit_scan(a, samples: int = 100, seed: int = 0) 
             )
         done += 1
     return done
+
+
+def lincomb_by_fold(pairs) -> InvariantElement:
+    """The sum of c·x over (c, x) pairs by repeated immutable addition: every
+    summand is scaled into a fresh element and added into a fresh dict, and
+    every step goes through the coercing constructor."""
+    acc = InvariantElement.zero()
+    for c, x in pairs:
+        c = Fraction(c)
+        scaled = InvariantElement({m: c * v for m, v in x.terms.items()})
+        out = dict(acc.terms)
+        for m, v in scaled.terms.items():
+            out[m] = out.get(m, Fraction(0)) + v
+        acc = InvariantElement(out)
+    return acc

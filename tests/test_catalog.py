@@ -148,6 +148,13 @@ def test_recipes_evaluate_like_operators():
     assert parse_recipe("1/9 theta_e8|T₋(2)")(2) == build("x2", 2)
 
 
+def test_recipe_terms_of_mixed_kind_are_a_certification_error():
+    with pytest.raises(CertificationError, match="disagree"):
+        parse_recipe("theta_e8", "phi_-4_2")(1)
+    with pytest.raises(CertificationError, match="disagree"):
+        parse_recipe("Δ phi_-4_4", cancel="Δ^2 phi_-4_2")(2)
+
+
 def test_build_contract_is_an_exception(monkeypatch):
     entry = REGISTRY["x4"]
     monkeypatch.setitem(REGISTRY, "x4", replace(entry, builder=theta_e8))

@@ -13,11 +13,12 @@ from e8jac import (
     from_display,
     inv_mul,
     label_weight,
+    lincomb,
     orbit_size,
     sigma_label,
     SIGMA_LABELS,
 )
-from oracles import inv_mul_brute
+from oracles import inv_mul_brute, lincomb_by_fold
 
 W8 = DominantWeight.from_fw((0, 0, 0, 0, 0, 0, 0, 1))
 W1 = DominantWeight.from_fw((1, 0, 0, 0, 0, 0, 0, 0))
@@ -214,6 +215,28 @@ def test_display_round_trip(e):
 def test_eval_zero_homomorphism(x, y):
     assert inv_mul(x, y).eval_zero() == x.eval_zero() * y.eval_zero()
     assert (x + y).eval_zero() == x.eval_zero() + y.eval_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+              small_elements()),
+    max_size=4,
+))
+def test_lincomb_matches_fold(pairs):
+    total = lincomb(pairs)
+    assert total == lincomb_by_fold(pairs)
+    assert all(type(v) is Fraction and v for v in total.terms.values())
+    # every summand cancelled: the zero element, with no terms left
+    cancelled = lincomb(pairs + [(-c, x) for c, x in pairs])
+    assert cancelled.terms == {}
+    assert cancelled == lincomb_by_fold(pairs + [(-c, x) for c, x in pairs])
+
+
+def test_dilate_maps_orbits_to_multiples():
+    e = from_display([("Σ_2", 3), (None, -240)])
+    assert e.dilate(2) == from_display([("Σ_{8''}", 3), (None, -240)])
+    assert e.dilate(1) == e
 
 
 # ---------------------------------------------------------------------------

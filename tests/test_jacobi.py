@@ -27,6 +27,7 @@ from e8jac import (
     heat,
     hecke_t_minus,
     jf_div_modular,
+    jf_lincomb,
     jf_mul,
     jf_scale,
     orbit_array,
@@ -97,6 +98,28 @@ def test_truncate():
 def test_add_requires_matching_type():
     with pytest.raises(ValueError, match="mismatch"):
         theta_e8(2) + JacobiQExpansion.zero(4, 2, 2)
+
+
+def test_jf_lincomb_validates_once(monkeypatch):
+    parts = [(2, theta_e8(3)), (Fraction(-1, 3), theta_e8(2)), (5, theta_e8(4))]
+    calls = []
+    init = JacobiQExpansion.__init__
+
+    def counted(self, *args):
+        calls.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(JacobiQExpansion, "__init__", counted)
+    total = jf_lincomb(parts)
+    assert calls == [(4, 1)]
+    assert total.order == 2
+    assert total.term(1).coeff(W8) == 2 - Fraction(1, 3) + 5
+
+
+def test_jf_lincomb_rejects_mixed_weights():
+    parts = [(1, theta_e8(2)), (1, jf_scale(theta_e8(2), eisenstein(4, 2)))]
+    with pytest.raises(ValueError, match="mismatch"):
+        jf_lincomb(parts)
 
 
 def test_zero_and_one():
@@ -336,9 +359,35 @@ def test_exhaustive_quasi_periodicity_catches_corruption_for_every_seed():
             check_quasi_periodicity(bad, samples=k, seed=seed)
 
 
+def test_quasi_periodicity_sample_ignores_insertion_order():
+    # the same values with every term dict built in the opposite order
+    bad = _corrupt_phi_m4_2()
+    flipped = JacobiQExpansion(bad.weight, bad.index, [
+        InvariantElement(dict(reversed(list(t.terms.items())))) for t in bad.terms
+    ])
+
+    def outcome(f, seed):
+        try:
+            return check_quasi_periodicity(f, samples=20, seed=seed)
+        except AssertionError as exc:
+            return str(exc)
+
+    for seed in range(10):
+        assert outcome(bad, seed) == outcome(flipped, seed)
+
+
+@pytest.fixture
+def restore_orbit_cache():
+    """Drop the orbits a test closes, so they do not stay for the session."""
+    saved = dict(e8jac.e8._orbit_cache)
+    yield
+    e8jac.e8._orbit_cache.clear()
+    e8jac.e8._orbit_cache.update(saved)
+
+
 @pytest.mark.parametrize(
     "check", [check_quasi_periodicity, check_quasi_periodicity_by_orbit_scan])
-def test_quasi_periodicity_agrees_with_orbit_scan(check):
+def test_quasi_periodicity_agrees_with_orbit_scan(check, restore_orbit_cache):
     for f in _buildable_forms():
         assert check(f, samples=20, seed=7) == 20, f
     with pytest.raises(AssertionError):
