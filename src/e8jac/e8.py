@@ -6,7 +6,10 @@ integers of one shared parity with sum divisible by 4. Everything stays in
 integer arithmetic, including the closest-vector decoder.
 
 Bulk kernels (alcove enumeration, batched dominant reduction, orbit closure,
-coset decoding) run on int64 numpy arrays. Every dedupe or bin of
+coset decoding) run on int64 numpy arrays. An orbit is closed level by level
+in depth (the length of the shortest Weyl element reaching a row from the
+dominant representative): each level is the positive-pairing reflections of
+the one before, deduplicated on its own. Every dedupe or bin of
 lattice rows packs each row into one uint64 key, a byte per doubled
 coordinate (see _pack), so every doubled coordinate must lie in
 [-128, 127]. A row beyond that, which needs norm >= 4096, raises
@@ -268,6 +271,9 @@ def _unpack(keys: np.ndarray) -> np.ndarray:
 
 
 _SPINOR_D = np.array(_ROOTS_D[0], dtype=np.int64)
+# key(r - c·α_i) = key(r) - c·_ROOT_KEYS[i] (mod 2^64) while every byte of
+# both rows stays in range: the byte offsets cancel.
+_ROOT_KEYS = _pack(_A2) - _pack(np.zeros_like(_A2))
 
 
 def _batch_reduce(arr: np.ndarray) -> np.ndarray:
@@ -375,10 +381,19 @@ def orbit_size(m: DominantWeight) -> int:
 def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
     """The full orbit as a lexicographically sorted (size, 8) int64 array.
 
-    Breadth-first closure under the 8 simple reflections, with the seen set
-    held as sorted packed keys. The size is known up front from the
-    stabilizer order, which doubles as the budget guard and as a
-    completeness check on the closure.
+    Closed level by level in the depth of a, #{β > 0 : (β, a) < 0}, the
+    length of the shortest w with w·m = a. Where (α_i, a) > 0 the image
+    s_i·a has depth one more than a, and every a of positive depth has a
+    simple root with (α_i, a) < 0, whose reflection lowers it by one. So
+    level k+1 is exactly the positive-pairing images of level k: the levels
+    are disjoint and each is deduplicated on its own, with no seen set.
+
+    The largest |doubled coordinate| on the orbit is (m, w_1) = m.d[7], so
+    one look at m decides whether every row fits a packed key; when they
+    all do, keys are linear in the row and an image's key is computed from
+    its preimage's. The size is known up front from the stabilizer order,
+    which doubles as the budget guard and, with the sorted keys' lack of
+    adjacent duplicates, as a completeness check on the closure.
     """
     key = m.v.d
     cached = _orbit_cache.get(key)
@@ -389,22 +404,23 @@ def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
         raise BudgetError(
             f"orbit of size {size} exceeds element budget {element_budget(budget)}"
         )
-    frontier = np.array([m.v.d], dtype=np.int64)
-    seen = _pack(frontier)
-    while frontier.size:
-        p4 = frontier @ _A2.T
-        images = [frontier - (p4[:, i : i + 1] // 4) * _A2[i] for i in range(8)]
-        cand = np.unique(_pack(np.concatenate(images)))
-        # binary search and insertion keep `seen` sorted without a re-sort
-        pos = np.searchsorted(seen, cand)
-        fresh = cand[seen[np.minimum(pos, len(seen) - 1)] != cand]
-        if not fresh.size:
+    if m.v.d[7] > 127:
+        raise BudgetError("lattice row has a doubled coordinate outside [-128, 127]")
+    level = np.array([m.v.d], dtype=np.int64)
+    levels = [_pack(level)]
+    while True:
+        p4 = level @ _A2.T
+        row, i = np.nonzero(p4 > 0)
+        if not row.size:
             break
-        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
-        frontier = _unpack(fresh)
-    if len(seen) != size:
+        images = levels[-1][row] - (p4[row, i] // 4).astype(np.uint64) * _ROOT_KEYS[i]
+        images.sort()  # numpy's hashing np.unique is far slower on these keys
+        levels.append(images[np.concatenate(([True], images[1:] != images[:-1]))])
+        level = _unpack(levels[-1])
+    keys = np.sort(np.concatenate(levels))
+    if len(keys) != size or (keys[1:] == keys[:-1]).any():
         raise CertificationError("orbit closure disagrees with stabilizer order")
-    out = _unpack(seen)
+    out = _unpack(keys)
     out.setflags(write=False)
     _orbit_cache[key] = out
     return out

@@ -10,16 +10,20 @@ Internally everything multiplies plain orbit sums; the 240-normalized
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
 from .e8 import (
+    _A2,
     ZERO,
+    CertificationError,
     DominantWeight,
     E8Vector,
     _batch_reduce,
     _pack,
+    _stabilizer_order,
     _unpack,
     orbit_array,
     orbit_size,
@@ -318,8 +322,24 @@ def from_display(pairs) -> InvariantElement:
 # |orb(m2)|·U_m/|orb(m)| with U_m = #{a in orbit(m1) : reduce(a+m2) = m}:
 # the pair count #{(a,b) : a+b in orbit(m)} is constant along the orbit of
 # the second factor, so one pass over the smaller orbit suffices.
+#
+# That pass runs over one row per W_J-orbit, where W_J, J = {i : fw_i(m2) =
+# 0}, is the parabolic stabilizer of m2: reduce(g·a + m2) = reduce(a + m2)
+# for g in W_J. Each W_J-orbit in orbit(m1) holds exactly one J-dominant a
+# ((α_i, a) >= 0 for i in J), whose W_J-stabilizer is the parabolic
+# subgroup on J ∩ Z(a), Z(a) = {i : (α_i, a) = 0} (Humphreys §1.10–1.12).
+# So U_m sums the weights |W_J|/|W_{J∩Z(a)}| over the J-dominant a with
+# reduce(a + m2) = m. The weights must add up to |orbit(m1)|, which is
+# checked on every call.
 
 _pair_cache: dict[tuple, InvariantElement] = {}
+
+
+@functools.cache
+def _parabolic_order(mask: int) -> int:
+    """|W_J| for J the set bits of mask: the stabilizer order of a weight
+    whose fw coordinates vanish exactly on J."""
+    return _stabilizer_order(tuple(0 if mask >> i & 1 else 1 for i in range(8)))
 
 
 def _orbit_pair_product(
@@ -334,8 +354,25 @@ def _orbit_pair_product(
     if m2.v == ZERO:  # identity element
         out = InvariantElement.orbit_sum(m1)
     else:
-        shifted = orbit_array(m1, budget) + np.array(m2.v.d, dtype=np.int64)
-        keys, counts = np.unique(_pack(_batch_reduce(shifted)), return_counts=True)
+        rows = orbit_array(m1, budget)
+        J = [i for i in range(8) if m2.fw[i] == 0]
+        p4 = rows @ _A2[J].T
+        keep = (p4 >= 0).all(axis=1)
+        masks, bins = np.unique(
+            (p4[keep] == 0) @ (1 << np.array(J, dtype=np.int64)), return_inverse=True
+        )
+        order_j = _parabolic_order(sum(1 << i for i in J))
+        weights = np.array(
+            [order_j // _parabolic_order(int(z)) for z in masks], dtype=np.int64
+        )[bins]
+        if int(weights.sum()) != orbit_size(m1):
+            raise CertificationError(
+                "W_J-orbit weights disagree with the orbit size of the first factor"
+            )
+        shifted = rows[keep] + np.array(m2.v.d, dtype=np.int64)
+        keys, inverse = np.unique(_pack(_batch_reduce(shifted)), return_inverse=True)
+        counts = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(counts, inverse, weights)
         size2 = orbit_size(m2)
         out = InvariantElement()
         for rep, u in zip(_unpack(keys), counts):

@@ -266,11 +266,14 @@ def heat(a: JacobiQExpansion) -> JacobiQExpansion:
     if t == 0:
         raise ValueError("heat operator needs index >= 1")
     k = a.weight
-    corr = jf_scale(a, eisenstein(2, a.order) * Fraction(4 - k, 12))
+    e2 = eisenstein(2, a.order) * Fraction(4 - k, 12)
     terms = [
-        InvariantElement(
-            {m: c * (n - Fraction(m.norm(), 2 * t)) for m, c in x.terms.items()}
-        ) + corr.terms[n]
+        lincomb(
+            [(1, InvariantElement(
+                {m: c * (n - Fraction(m.norm(), 2 * t)) for m, c in x.terms.items()}
+            ))]
+            + [(e2[i], a.terms[n - i]) for i in range(n + 1)]
+        )
         for n, x in enumerate(a.terms)
     ]
     return JacobiQExpansion(k + 2, t, terms)
@@ -378,17 +381,20 @@ def check_quasi_periodicity(
     family is W-stable, so every check is one at l = m, a stored dominant
     representative. A triple (n, m, v) is checkable when n' <= order; all
     of them come out of one matrix over the stored (n, m), sorted by n and
-    doubled row, and the 480 shifts. The checks are
-    np.resize(rng.permutation(K), samples) over the K checkable triples: a
-    random order of all of them, repeated up to `samples`, which depends
-    only on the form's values and the seed. So the check is exhaustive when
-    samples >= K. The images m + t·v are dominant-reduced in one batch.
-    Returns `samples`; raises AssertionError on a mismatch and RuntimeError
-    when no triple is checkable.
+    doubled row, and the 480 shifts. The checks are the first
+    min(samples, K) of rng.permutation(K) over the K checkable triples: a
+    random order of them, which depends only on the form's values and the
+    seed. So the check is exhaustive when samples >= K, and costs no more
+    for a larger `samples` (further checks would repeat ones made). The
+    images m + t·v are dominant-reduced in one batch. Returns `samples`;
+    raises AssertionError on a mismatch, RuntimeError when no triple is
+    checkable and ValueError when samples is negative.
     """
     t = a.index
     if t == 0:
         raise ValueError("quasi-periodicity concerns index >= 1")
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     pool = sorted(
         (n, m.v.d) for n in range(a.order + 1) for m in a.terms[n].terms
     )
@@ -406,7 +412,7 @@ def check_quasi_periodicity(
     src, shift = np.nonzero(n2_all <= a.order)
     if not len(src):
         raise RuntimeError("no checkable triple at this truncation")
-    pick = np.resize(np.random.default_rng(seed).permutation(len(src)), samples)
+    pick = np.random.default_rng(seed).permutation(len(src))[:samples]
     src, shift = src[pick], shift[pick]
     images = _batch_reduce(rows[src] + t * shifts[shift])
     for i, n2, img in zip(src.tolist(), n2_all[src, shift].tolist(), images.tolist()):

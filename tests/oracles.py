@@ -4,6 +4,8 @@ Each function here is an independent way to compute what a library
 function computes, and is used only by the tests:
 
 * ``inv_mul_brute`` for ``invring.inv_mul`` (orbit-pair products);
+* ``orbit_pair_product_by_full_orbit`` for ``invring._orbit_pair_product``;
+* ``orbit_array_by_seen_set`` for ``e8.orbit_array``;
 * ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
 * ``shell_by_enumeration`` for ``e8.shell``;
 * ``check_quasi_periodicity_by_orbit_scan`` for
@@ -32,6 +34,46 @@ from e8jac.e8 import (
     orbit_size,
 )
 from e8jac.invring import InvariantElement
+
+
+def orbit_array_by_seen_set(m: DominantWeight) -> np.ndarray:
+    """The orbit of m as a lex-sorted (size, 8) int64 array, by breadth-first
+    closure under all 8 simple reflections against a seen set of sorted
+    packed keys. Every level searches and inserts into the whole seen set.
+    Not cached."""
+    frontier = np.array([m.v.d], dtype=np.int64)
+    seen = _pack(frontier)
+    while frontier.size:
+        p4 = frontier @ _A2.T
+        images = [frontier - (p4[:, i : i + 1] // 4) * _A2[i] for i in range(8)]
+        cand = np.unique(_pack(np.concatenate(images)))
+        pos = np.searchsorted(seen, cand)
+        fresh = cand[seen[np.minimum(pos, len(seen) - 1)] != cand]
+        if not fresh.size:
+            break
+        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
+        frontier = _unpack(fresh)
+    if len(seen) != orbit_size(m):
+        raise AssertionError("orbit closure disagrees with stabilizer order")
+    return _unpack(seen)
+
+
+def orbit_pair_product_by_full_orbit(
+    m1: DominantWeight, m2: DominantWeight
+) -> InvariantElement:
+    """orb(m1)·orb(m2) by dominant-reducing a + m2 for every a in the
+    smaller orbit and rescaling the counts by orbit sizes. Not cached."""
+    if orbit_size(m1) > orbit_size(m2):
+        m1, m2 = m2, m1
+    if m2.v == ZERO:
+        return InvariantElement.orbit_sum(m1)
+    shifted = orbit_array(m1) + np.array(m2.v.d, dtype=np.int64)
+    keys, counts = np.unique(_pack(_batch_reduce(shifted)), return_counts=True)
+    out = InvariantElement()
+    for rep, u in zip(_unpack(keys), counts):
+        m = DominantWeight(E8Vector(rep))
+        out.terms[m] = Fraction(int(u) * orbit_size(m2), orbit_size(m))
+    return out
 
 
 def inv_mul_brute(m1: DominantWeight, m2: DominantWeight) -> dict[DominantWeight, Fraction]:

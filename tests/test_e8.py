@@ -36,7 +36,8 @@ from e8jac.e8 import (
     shell,
 )
 from e8jac.qseries import sigma_pow
-from oracles import shell_by_enumeration
+from e8jac.invring import SIGMA_LABELS, label_weight
+from oracles import orbit_array_by_seen_set, shell_by_enumeration
 
 rng = np.random.default_rng(20240817)
 
@@ -171,6 +172,41 @@ def test_orbit_sizes_against_bfs(coords, size):
     assert arr.shape == (size, 8)
     # all distinct, lexicographically sorted
     assert (np.unique(arr, axis=0) == arr).all()
+
+
+def _assert_same_as_seen_set_closure(m):
+    arr = orbit_array(m)
+    ref = orbit_array_by_seen_set(m)
+    assert arr.dtype == ref.dtype == np.int64
+    assert arr.shape == ref.shape and (arr == ref).all()
+    assert not arr.flags.writeable
+    assert orbit_array(m) is arr
+
+
+@pytest.mark.parametrize(
+    "label", [lab for lab in SIGMA_LABELS if orbit_size(label_weight(lab)) <= 200_000])
+def test_orbit_closure_by_depth_matches_seen_set(label, restore_orbit_cache):
+    _assert_same_as_seen_set_closure(label_weight(label))
+
+
+@pytest.mark.parametrize("coords", [
+    (0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 0, 63),   # doubled coordinates up to 126
+    (31, 0, 0, 0, 0, 0, 0, 1),   # up to 126, 30,240 rows
+    (0, 1, 0, 0, 0, 0, 0, 61),   # up to 127, the largest a key holds
+])
+def test_orbit_closure_by_depth_to_the_byte_range(coords, restore_orbit_cache):
+    m = fw(*coords)
+    _assert_same_as_seen_set_closure(m)
+    assert np.abs(orbit_array(m)).max() == m.v.d[7]
+
+
+def test_orbit_beyond_byte_range_raises_before_closure(restore_orbit_cache):
+    # (m, w_1) = m.d[7] is the largest |doubled coordinate| on the orbit
+    m = fw(0, 0, 0, 0, 0, 0, 1, 62)
+    assert m.v.d[7] == 128
+    with pytest.raises(BudgetError):
+        orbit_array(m)
 
 
 def test_orbit_size_total_is_group_order_bound():

@@ -1,11 +1,17 @@
 """Tests for the orbit-sum ring: products, evaluation, display, pullback."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import e8jac.catalog
+import e8jac.e8
+import e8jac.invring
 from e8jac import (
     HIGHEST_ROOT,
     DominantWeight,
@@ -18,7 +24,7 @@ from e8jac import (
     sigma_label,
     SIGMA_LABELS,
 )
-from oracles import inv_mul_brute, lincomb_by_fold
+from oracles import inv_mul_brute, lincomb_by_fold, orbit_pair_product_by_full_orbit
 
 W8 = DominantWeight.from_fw((0, 0, 0, 0, 0, 0, 0, 1))
 W1 = DominantWeight.from_fw((1, 0, 0, 0, 0, 0, 0, 0))
@@ -75,6 +81,60 @@ def test_constant_is_scalar():
     x = InvariantElement.orbit_sum(W1, Fraction(5, 7))
     assert inv_mul(InvariantElement.constant(3), x) == x.scale(3)
     assert InvariantElement.constant(1) * x == x
+
+
+def test_pair_products_match_full_orbit_oracle(monkeypatch, restore_orbit_cache):
+    # all 351 unordered pairs of dictionary orbits; with the smaller orbit
+    # first, each pair closes only that orbit, which is dropped once its
+    # pairs are done so that the cache holds at most one of them
+    monkeypatch.setattr(e8jac.invring, "_pair_cache", {})
+    reps = sorted((label_weight(lab) for lab in SIGMA_LABELS), key=orbit_size)
+    for i, m1 in enumerate(reps):
+        for m2 in reps[i:]:
+            fast = e8jac.invring._orbit_pair_product(m1, m2)
+            ref = orbit_pair_product_by_full_orbit(m1, m2)
+            assert list(fast.terms.items()) == list(ref.terms.items()), (m1, m2)
+        e8jac.invring._pair_cache.clear()
+        e8jac.e8._orbit_cache.pop(m1.v.d, None)
+
+
+def test_pair_product_weight_sum_is_certified_under_optimize():
+    code = (
+        "import e8jac.invring as inv\n"
+        "from e8jac import CertificationError, DominantWeight\n"
+        "inv._parabolic_order = lambda mask: 1\n"
+        "w8 = DominantWeight.from_fw((0,) * 7 + (1,))\n"
+        "try:\n"
+        "    inv._orbit_pair_product(w8, w8)\n"
+        "except CertificationError as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("E8JAC_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "W_J-orbit weights disagree with the orbit size of the first factor")
+
+
+def test_deep_build_reduces_one_row_per_stabilizer_orbit(monkeypatch, restore_orbit_cache):
+    # a fallback to reducing every row of the smaller orbit reduces 222,257
+    monkeypatch.setattr(e8jac.invring, "_pair_cache", {})
+    monkeypatch.setattr(e8jac.catalog, "_build_cache", {})
+    rows = []
+    reduce = e8jac.invring._batch_reduce
+
+    def counted(arr):
+        rows.append(len(arr))
+        return reduce(arr)
+
+    monkeypatch.setattr(e8jac.invring, "_batch_reduce", counted)
+    e8jac.catalog.build("phi_-4_2", 10)
+    assert sum(rows) == 1253
 
 
 def test_operator_sugar():

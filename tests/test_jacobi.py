@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +197,21 @@ def test_heat_on_index2_generator():
     assert h.scale(3) == build("phi_-2_2", 2)
 
 
+def test_heat_validates_once(monkeypatch):
+    f = build("phi_-4_2", 3)
+    calls = []
+    init = JacobiQExpansion.__init__
+
+    def counted(self, *args):
+        calls.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(JacobiQExpansion, "__init__", counted)
+    h = heat(f)
+    assert calls == [(-2, 2)]
+    assert h.scale(3) == build("phi_-2_2", 3)
+
+
 def test_heat_rejects_index0():
     f = JacobiQExpansion(4, 0, [InvariantElement.constant(1)])
     with pytest.raises(ValueError):
@@ -271,6 +287,20 @@ def test_weight0_identity():
 def test_quasi_periodicity_counts_samples():
     assert check_quasi_periodicity(theta_e8(4), samples=25, seed=3) == 25
     assert check_quasi_periodicity(build("phi_-4_2", 3), samples=10, seed=1) == 10
+
+
+def test_quasi_periodicity_cost_does_not_grow_with_samples():
+    f = build("x2")
+    check_quasi_periodicity(f, samples=1)  # close the root orbit untraced
+    tracemalloc.start()
+    try:
+        assert check_quasi_periodicity(f, samples=10**7, seed=2) == 10**7
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
+    with pytest.raises(ValueError, match="non-negative"):
+        check_quasi_periodicity(f, samples=-1)
 
 
 def test_quasi_periodicity_catches_corruption():
@@ -374,15 +404,6 @@ def test_quasi_periodicity_sample_ignores_insertion_order():
 
     for seed in range(10):
         assert outcome(bad, seed) == outcome(flipped, seed)
-
-
-@pytest.fixture
-def restore_orbit_cache():
-    """Drop the orbits a test closes, so they do not stay for the session."""
-    saved = dict(e8jac.e8._orbit_cache)
-    yield
-    e8jac.e8._orbit_cache.clear()
-    e8jac.e8._orbit_cache.update(saved)
 
 
 @pytest.mark.parametrize(
