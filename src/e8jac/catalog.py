@@ -23,7 +23,6 @@ import numpy as np
 from .e8 import (
     CertificationError,
     DominantWeight,
-    E8Vector,
     _batch_reduce,
     _pack,
     _unpack,
@@ -217,9 +216,8 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
             keys[chunk] = _pack(_batch_reduce(_unpack(keys[chunk])))
         keys, vals = _sum_by_key(keys, vals)
         elem: dict[DominantWeight, Fraction] = {}
-        for row, total in zip(_unpack(keys), vals):
-            m = DominantWeight(E8Vector(row))
-            elem[m] = Fraction(int(total), orbit_size(m))
+        for m, total in zip(DominantWeight._from_rows(_unpack(keys)), vals.tolist()):
+            elem[m] = Fraction(total, orbit_size(m))
         terms.append(InvariantElement(elem))
 
     if not (terms[0].is_zero() and terms[1].is_zero()):

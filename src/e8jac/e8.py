@@ -6,21 +6,25 @@ integers of one shared parity with sum divisible by 4. Everything stays in
 integer arithmetic, including the closest-vector decoder.
 
 Bulk kernels (alcove enumeration, batched dominant reduction, orbit closure,
-coset decoding) run on int64 numpy arrays. An orbit is closed level by level
-in depth (the length of the shortest Weyl element reaching a row from the
-dominant representative): each level is the positive-pairing reflections of
-the one before, deduplicated on its own. Every dedupe or bin of
-lattice rows packs each row into one uint64 key, a byte per doubled
-coordinate (see _pack), so every doubled coordinate must lie in
-[-128, 127]. A row beyond that, which needs norm >= 4096, raises
+coset decoding) run on int64 numpy arrays; DominantWeight._from_rows turns a
+batch of dominant rows into weights. Every enumeration is bounded by the one
+element budget, element_budget(). Orbit sizes are |W| / |W_J|, with |W_J| a
+height product over positive roots (see _parabolic_order). An orbit is
+closed level by level in depth (the length of the shortest Weyl element
+reaching a row from the dominant representative): each level is the
+positive-pairing reflections of the one before, deduplicated on its own.
+Every dedupe or bin of lattice rows packs each row into one uint64 key, a
+byte per doubled coordinate (see _pack), so every doubled coordinate must
+lie in [-128, 127]. A row beyond that, which needs norm >= 4096, raises
 BudgetError; the deepest path in the benchmark and the catalog reaches a
 doubled coordinate of 12.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import os
-from math import factorial, isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -158,15 +162,6 @@ HIGHEST_ROOT = FUNDAMENTAL_WEIGHTS[7]
 _A2 = np.array(_ROOTS_D, dtype=np.int64)  # (8, 8), rows are doubled roots
 _W2 = np.array(_WEIGHTS_D, dtype=np.int64)
 
-# Edges of the Coxeter graph, derived from the root pairings; used for
-# stabilizer classification. (0-based vertex labels.)
-_EDGES = frozenset(
-    (i, j)
-    for i in range(8)
-    for j in range(i + 1, 8)
-    if sum(_ROOTS_D[i][k] * _ROOTS_D[j][k] for k in range(8)) != 0
-)
-
 
 def pairing(a: E8Vector, b: E8Vector) -> int:
     """The standard scalar product; always an integer on the lattice."""
@@ -191,6 +186,30 @@ class DominantWeight:
             raise ValueError(f"not dominant: pairings {fw}")
         self.v = v
         self.fw = fw
+
+    @classmethod
+    def _from_rows(cls, rows) -> list["DominantWeight"]:
+        """One DominantWeight per row of an (n, 8) doubled-coordinate array, in
+        row order: the checks of E8Vector and __init__ run on the whole batch,
+        and fw comes from one product with the simple roots."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 8)
+        p4 = rows @ _A2.T
+        fw = p4 // 4
+        for bad, what in (
+            (((rows ^ rows[:, :1]) & 1).any(axis=1), "coordinates must share one parity"),
+            (rows.sum(axis=1) % 4 != 0, "coordinate sum must be divisible by 4"),
+            ((p4 % 4 != 0).any(axis=1), "pairing of lattice vectors must be integral"),
+            ((fw < 0).any(axis=1), "not dominant"),
+        ):
+            if bad.any():
+                raise ValueError(f"{what}: {tuple(rows[bad.argmax()].tolist())}")
+        out = []
+        for d, f in zip(rows.tolist(), fw.tolist()):
+            m = cls.__new__(cls)
+            m.v, m.fw = E8Vector.__new__(E8Vector), tuple(f)
+            m.v.d = tuple(d)
+            out.append(m)
+        return out
 
     @classmethod
     def from_fw(cls, fw) -> "DominantWeight":
@@ -232,25 +251,6 @@ class DominantWeight:
         if tuple(obj.get("fw", m.fw)) != m.fw:
             raise ValueError("fw field inconsistent with coordinates")
         return m
-
-
-def dominant_reduce(v: E8Vector) -> DominantWeight:
-    """Reduce to the unique orbit representative in the closed chamber.
-
-    Scans the simple roots in fixed order and reflects at the first
-    negative pairing until none remains. Idempotent on dominant input.
-    """
-    d = list(v.d)
-    while True:
-        for i, root in enumerate(_ROOTS_D):
-            p4 = sum(d[k] * root[k] for k in range(8))
-            if p4 < 0:
-                c = p4 // 4  # exact: both are lattice vectors
-                for k in range(8):
-                    d[k] -= c * root[k]
-                break
-        else:
-            return DominantWeight(E8Vector(tuple(d)))
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -307,62 +307,57 @@ def _batch_reduce(arr: np.ndarray) -> np.ndarray:
     return v
 
 
+def dominant_reduce(v: E8Vector) -> DominantWeight:
+    """Reduce to the unique orbit representative in the closed chamber."""
+    return DominantWeight._from_rows(_batch_reduce(np.array([v.d], dtype=np.int64)))[0]
+
+
 # ---------------------------------------------------------------------------
 # Orbit sizes via parabolic stabilizers.
 #
-# The stabilizer of a dominant weight is the standard parabolic subgroup
-# generated by the simple reflections fixing it, i.e. those i with fw[i] = 0.
-# Its order is the product of the Weyl-group orders of the connected
-# components of the induced Coxeter subdiagram, each of type A, D or E.
+# The stabilizer of a dominant weight is the standard parabolic subgroup W_J
+# generated by the simple reflections fixing it, J = {i : fw[i] = 0}. Its
+# order is a product over the positive roots supported on J (Macdonald, The
+# Poincaré series of a Coxeter group, 1972):
+#     |W_J| = prod (ht α + 1) / ht α  over α > 0 with supp α ⊆ J.
 
-def _component_group_order(nodes: list[int], adj: dict[int, list[int]]) -> int:
-    n = len(nodes)
-    deg = {u: len(adj[u]) for u in nodes}
-    branch = [u for u in nodes if deg[u] == 3]
-    if not branch:
-        return factorial(n + 1)  # type A_n
-    b = branch[0]
-    arms = []
-    for start in adj[b]:
-        length, prev, cur = 1, b, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return 2 ** (n - 1) * factorial(n)  # type D_n
-    if arms == [1, 2, 2]:
-        return 51840  # E6
-    if arms == [1, 2, 3]:
-        return 2903040  # E7
-    if arms == [1, 2, 4]:
-        return WEYL_ORDER  # E8
-    raise AssertionError(f"impossible subdiagram arms {arms}")
+def _positive_roots() -> np.ndarray:
+    """The 120 positive roots as rows of simple-root coefficients.
+
+    The 240 roots are the D8 roots ±e_i ± e_j and the half-spin vectors
+    (±1/2, ..., ±1/2) with an even number of minus signs. The coefficient of
+    α_i in a root r is (r, w_i), integral on every lattice row, and r is
+    positive iff all eight are >= 0.
+    """
+    e = 2 * np.eye(8, dtype=np.int64)
+    d8 = [a * e[i] + b * e[j] for i, j in itertools.combinations(range(8), 2)
+          for a, b in itertools.product((1, -1), repeat=2)]
+    spin = [s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0]
+    roots = np.array(d8 + spin, dtype=np.int64)
+    p4 = roots @ _W2.T  # E8 is unimodular: a row is on it iff every p4 is 0 mod 4
+    if len(roots) != 240 or (p4 % 4).any() or ((roots * roots).sum(axis=1) != 8).any():
+        raise CertificationError("the root table is not 240 lattice rows of norm 2")
+    coef = p4 // 4
+    positive = coef[(coef >= 0).all(axis=1)]
+    if len(positive) != 120:
+        raise CertificationError("the root table does not split into 120 ± pairs")
+    return positive
 
 
-def _stabilizer_order(fw) -> int:
-    zero = [i for i in range(8) if fw[i] == 0]
-    adj = {u: [v for v in zero if (min(u, v), max(u, v)) in _EDGES] for u in zero}
-    order = 1
-    seen: set[int] = set()
-    for u in zero:
-        if u in seen:
-            continue
-        comp, stack = [], [u]
-        seen.add(u)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        order *= _component_group_order(comp, adj)
-    return order
+_POSITIVE_ROOTS = _positive_roots()
+_ROOT_HEIGHTS = _POSITIVE_ROOTS.sum(axis=1)
+_ROOT_SUPPORTS = (_POSITIVE_ROOTS > 0) @ (1 << np.arange(8))
+
+
+@functools.cache
+def _parabolic_order(mask: int) -> int:
+    """|W_J| for J the set bits of mask: the stabilizer order of a dominant
+    weight whose fw coordinates vanish exactly on J."""
+    heights = _ROOT_HEIGHTS[(_ROOT_SUPPORTS & ~mask) == 0].tolist()
+    q, r = divmod(prod(h + 1 for h in heights), prod(heights))
+    if r:
+        raise CertificationError(f"height product for mask {mask} is not an integer")
+    return q
 
 
 _orbit_cache: dict[tuple, np.ndarray] = {}
@@ -371,14 +366,14 @@ _orbit_cache: dict[tuple, np.ndarray] = {}
 @functools.cache
 def orbit_size(m: DominantWeight) -> int:
     """|W(E8)-orbit of m| = |W(E8)| / |stabilizer|, computed without enumeration."""
-    stab = _stabilizer_order(m.fw)
+    stab = _parabolic_order(sum(1 << i for i, x in enumerate(m.fw) if x == 0))
     q, r = divmod(WEYL_ORDER, stab)
     if r:
         raise CertificationError(f"stabilizer order {stab} does not divide |W|")
     return q
 
 
-def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
+def orbit_array(m: DominantWeight) -> np.ndarray:
     """The full orbit as a lexicographically sorted (size, 8) int64 array.
 
     Closed level by level in the depth of a, #{β > 0 : (β, a) < 0}, the
@@ -400,10 +395,9 @@ def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
     if cached is not None:
         return cached
     size = orbit_size(m)
-    if size > element_budget(budget):
-        raise BudgetError(
-            f"orbit of size {size} exceeds element budget {element_budget(budget)}"
-        )
+    limit = element_budget()
+    if size > limit:
+        raise BudgetError(f"orbit of size {size} exceeds element budget {limit}")
     if m.v.d[7] > 127:
         raise BudgetError("lattice row has a doubled coordinate outside [-128, 127]")
     level = np.array([m.v.d], dtype=np.int64)
@@ -426,9 +420,9 @@ def orbit_array(m: DominantWeight, budget: int | None = None) -> np.ndarray:
     return out
 
 
-def orbit(m: DominantWeight, budget: int | None = None) -> list[E8Vector]:
+def orbit(m: DominantWeight) -> list[E8Vector]:
     """The orbit as E8Vector objects in deterministic (lex) order."""
-    return [E8Vector(tuple(row)) for row in orbit_array(m, budget)]
+    return [E8Vector(tuple(row)) for row in orbit_array(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +486,7 @@ def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
 def _shell(two_n: int) -> tuple[tuple[DominantWeight, int], ...]:
     rows = alcove(isqrt(2 * two_n))
     rows = rows[(rows * rows).sum(axis=1) == 4 * two_n]
-    reps = [DominantWeight(E8Vector(row)) for row in rows]
-    out = tuple((m, orbit_size(m)) for m in reps)
+    out = tuple((m, orbit_size(m)) for m in DominantWeight._from_rows(rows))
     total = sum(s for _, s in out)
     expect = 1 if two_n == 0 else 240 * sigma_pow(two_n // 2, 3)
     if total != expect:
@@ -552,18 +545,9 @@ def max_coset_min_norm(t: int) -> int:
     return int(norms4.max()) // 4
 
 
-def max_pairing(m: DominantWeight, two_n: int, budget: int | None = None) -> int:
-    """max of (m, l) over the norm-2n shell.
-
-    budget bounds each orbit's closure; the shell itself is bounded by the
-    environment or default element budget, like every shell call.
-    """
+def max_pairing(m: DominantWeight, two_n: int) -> int:
+    """max of (m, l) over the norm-2n shell."""
     if two_n == 0:
         return 0
-    best = None
     md = np.array(m.v.d, dtype=np.int64)
-    for rep, _size in shell(two_n):
-        arr = orbit_array(rep, budget)
-        val = int((arr @ md).max()) // 4
-        best = val if best is None else max(best, val)
-    return best
+    return max(int((orbit_array(rep) @ md).max()) // 4 for rep, _ in shell(two_n))

@@ -10,7 +10,6 @@ Internally everything multiplies plain orbit sums; the 240-normalized
 """
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +22,7 @@ from .e8 import (
     E8Vector,
     _batch_reduce,
     _pack,
-    _stabilizer_order,
+    _parabolic_order,
     _unpack,
     orbit_array,
     orbit_size,
@@ -155,8 +154,9 @@ class InvariantElement:
 
     def dilate(self, c: int) -> "InvariantElement":
         """The substitution z -> c·z: orb(m) -> orb(c·m) for a positive integer c."""
+        rows = c * np.array([m.v.d for m in self.terms], dtype=np.int64)
         out = InvariantElement()
-        out.terms = {DominantWeight(c * m.v): v for m, v in self.terms.items()}
+        out.terms = dict(zip(DominantWeight._from_rows(rows), self.terms.values()))
         return out
 
     __rmul__ = scale
@@ -244,7 +244,7 @@ class InvariantElement:
 
     # -- pullback -------------------------------------------------------------
 
-    def pullback(self, v: E8Vector, budget: int | None = None) -> dict[int, Fraction]:
+    def pullback(self, v: E8Vector) -> dict[int, Fraction]:
         """Restrict to the line through v: sum of c·ζ^(a,v) over orbit elements.
 
         Returns the Laurent polynomial as a sparse exponent -> coefficient
@@ -253,7 +253,7 @@ class InvariantElement:
         vd = np.array(v.d, dtype=np.int64)
         out: dict[int, Fraction] = {}
         for m, c in self.terms.items():
-            dots = (orbit_array(m, budget) @ vd) // 4
+            dots = (orbit_array(m) @ vd) // 4
             exps, counts = np.unique(dots, return_counts=True)
             for e, k in zip(exps, counts):
                 e = int(e)
@@ -335,16 +335,7 @@ def from_display(pairs) -> InvariantElement:
 _pair_cache: dict[tuple, InvariantElement] = {}
 
 
-@functools.cache
-def _parabolic_order(mask: int) -> int:
-    """|W_J| for J the set bits of mask: the stabilizer order of a weight
-    whose fw coordinates vanish exactly on J."""
-    return _stabilizer_order(tuple(0 if mask >> i & 1 else 1 for i in range(8)))
-
-
-def _orbit_pair_product(
-    m1: DominantWeight, m2: DominantWeight, budget: int | None = None
-) -> InvariantElement:
+def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElement:
     if orbit_size(m1) > orbit_size(m2):
         m1, m2 = m2, m1
     key = (m1.v.d, m2.v.d)
@@ -354,7 +345,7 @@ def _orbit_pair_product(
     if m2.v == ZERO:  # identity element
         out = InvariantElement.orbit_sum(m1)
     else:
-        rows = orbit_array(m1, budget)
+        rows = orbit_array(m1)
         J = [i for i in range(8) if m2.fw[i] == 0]
         p4 = rows @ _A2[J].T
         keep = (p4 >= 0).all(axis=1)
@@ -375,19 +366,16 @@ def _orbit_pair_product(
         np.add.at(counts, inverse, weights)
         size2 = orbit_size(m2)
         out = InvariantElement()
-        for rep, u in zip(_unpack(keys), counts):
-            m = DominantWeight(E8Vector(rep))
-            out.terms[m] = Fraction(int(u) * size2, orbit_size(m))
+        for m, u in zip(DominantWeight._from_rows(_unpack(keys)), counts.tolist()):
+            out.terms[m] = Fraction(u * size2, orbit_size(m))
     _pair_cache[key] = out
     return out
 
 
-def inv_mul(
-    x: InvariantElement, y: InvariantElement, budget: int | None = None
-) -> InvariantElement:
+def inv_mul(x: InvariantElement, y: InvariantElement) -> InvariantElement:
     """Product of two invariant elements, re-expressed in orbit sums."""
     return lincomb(
-        (c1 * c2, _orbit_pair_product(m1, m2, budget))
+        (c1 * c2, _orbit_pair_product(m1, m2))
         for m1, c1 in x.terms.items()
         for m2, c2 in y.terms.items()
     )

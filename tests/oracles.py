@@ -7,6 +7,8 @@ function computes, and is used only by the tests:
 * ``orbit_pair_product_by_full_orbit`` for ``invring._orbit_pair_product``;
 * ``orbit_array_by_seen_set`` for ``e8.orbit_array``;
 * ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
+* ``parabolic_order_by_diagram`` for ``e8._parabolic_order`` (stabilizer
+  orders by classifying the Coxeter subdiagram);
 * ``shell_by_enumeration`` for ``e8.shell``;
 * ``check_quasi_periodicity_by_orbit_scan`` for
   ``jacobi.check_quasi_periodicity``;
@@ -15,13 +17,14 @@ function computes, and is used only by the tests:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 import numpy as np
 
 from e8jac.e8 import (
     _A2,
     HIGHEST_ROOT,
+    WEYL_ORDER,
     ZERO,
     BudgetError,
     DominantWeight,
@@ -123,6 +126,60 @@ def _batch_reduce_by_reflection(arr: np.ndarray) -> np.ndarray:
         v[rows] -= coef[:, None] * _A2[first]
         active = rows
     return v
+
+
+def _component_group_order(nodes: list[int], adj: dict[int, list[int]]) -> int:
+    """The Weyl-group order of one connected Coxeter diagram of type A, D or E."""
+    n = len(nodes)
+    branch = [u for u in nodes if len(adj[u]) == 3]
+    if not branch:
+        return factorial(n + 1)  # type A_n
+    b = branch[0]
+    arms = []
+    for start in adj[b]:
+        length, prev, cur = 1, b, start
+        while True:
+            nxt = [w for w in adj[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return 2 ** (n - 1) * factorial(n)  # type D_n
+    if arms == [1, 2, 2]:
+        return 51840  # E6
+    if arms == [1, 2, 3]:
+        return 2903040  # E7
+    if arms == [1, 2, 4]:
+        return WEYL_ORDER  # E8
+    raise AssertionError(f"impossible subdiagram arms {arms}")
+
+
+def parabolic_order_by_diagram(mask: int) -> int:
+    """|W_J| for J the set bits of mask, as the product of the Weyl-group
+    orders of the connected components of the Coxeter subdiagram on J; two
+    nodes are joined when their simple roots pair non-trivially."""
+    J = [i for i in range(8) if mask >> i & 1]
+    gram = _A2 @ _A2.T
+    adj = {u: [v for v in J if v != u and gram[u, v]] for u in J}
+    order = 1
+    seen: set[int] = set()
+    for u in J:
+        if u in seen:
+            continue
+        comp, stack = [], [u]
+        seen.add(u)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        order *= _component_group_order(comp, adj)
+    return order
 
 
 def _int_tuples4(max_sq: int, odd: bool) -> np.ndarray:

@@ -21,8 +21,11 @@ from e8jac.e8 import (
     BudgetError,
     DominantWeight,
     E8Vector,
+    _A2,
+    _POSITIVE_ROOTS,
     _decode_scaled,
     _pack,
+    _parabolic_order,
     _unpack,
     alcove,
     coset_min_norm,
@@ -37,7 +40,11 @@ from e8jac.e8 import (
 )
 from e8jac.qseries import sigma_pow
 from e8jac.invring import SIGMA_LABELS, label_weight
-from oracles import orbit_array_by_seen_set, shell_by_enumeration
+from oracles import (
+    orbit_array_by_seen_set,
+    parabolic_order_by_diagram,
+    shell_by_enumeration,
+)
 
 rng = np.random.default_rng(20240817)
 
@@ -144,12 +151,33 @@ def test_batch_reduce_matches_reference():
     singles = np.array(
         [random_lattice_vector(4).d for _ in range(500)], dtype=np.int64
     )
-    fast = _batch_reduce(singles)
-    assert (fast == _batch_reduce_by_reflection(singles)).all()
-    for v, row in zip(singles, fast):
+    ref = _batch_reduce_by_reflection(singles)
+    assert (_batch_reduce(singles) == ref).all()
+    for v, row in zip(singles, ref):
         assert dominant_reduce(E8Vector(tuple(int(x) for x in v))).v.d == tuple(
             int(x) for x in row
         )
+
+
+def test_batch_constructor_matches_per_row():
+    rows = alcove(6)
+    batch = DominantWeight._from_rows(rows)
+    assert len(batch) == len(rows)
+    for m, row in zip(batch, rows):
+        ref = DominantWeight(E8Vector(row))
+        assert m.v.d == ref.v.d and m.fw == ref.fw
+        assert all(type(x) is int for x in m.v.d + m.fw)
+
+
+@pytest.mark.parametrize("bad,why", [
+    ((-2, 2, 0, 0, 0, 0, 0, 0), "not dominant"),  # a root with (α_1, r) < 0
+    ((1, 1, 0, 0, 0, 0, 0, 0), "parity"),         # off the lattice
+    ((2, 0, 0, 0, 0, 0, 0, 0), "divisible by 4"), # off the lattice
+])
+def test_batch_constructor_rejects_bad_rows(bad, why):
+    rows = np.array([HIGHEST_ROOT.d, bad], dtype=np.int64)
+    with pytest.raises(ValueError, match=why):
+        DominantWeight._from_rows(rows)
 
 
 @pytest.mark.parametrize(
@@ -214,16 +242,64 @@ def test_orbit_size_total_is_group_order_bound():
     assert WEYL_ORDER % orbit_size(fw(1, 0, 0, 0, 0, 1, 0, 0)) == 0
 
 
+def test_parabolic_order_matches_diagram_classifier():
+    for mask in range(256):
+        assert _parabolic_order(mask) == parabolic_order_by_diagram(mask), mask
+    assert _parabolic_order(255) == WEYL_ORDER
+    assert len(_POSITIVE_ROOTS) == 120
+    assert sorted(set(_POSITIVE_ROOTS.sum(axis=1).tolist())) == list(range(1, 30))
+    roots = _POSITIVE_ROOTS @ _A2
+    table = {tuple(r) for r in np.concatenate([roots, -roots]).tolist()}
+    assert len(table) == 240
+    assert table == {tuple(r) for r in orbit_array(DominantWeight(HIGHEST_ROOT)).tolist()}
+
+
+def test_orbit_size_certifications_fire_under_optimize():
+    code = (
+        "import e8jac.e8 as e8\n"
+        "from e8jac.e8 import CertificationError, DominantWeight\n"
+        "def attempt(f, *args):\n"
+        "    try:\n"
+        "        f(*args)\n"
+        "    except CertificationError as e:\n"
+        "        print(e)\n"
+        "size = e8.orbit_size\n"
+        "e8.orbit_size = lambda m: size(m) - 1\n"
+        "attempt(e8.orbit_array, DominantWeight.from_fw((0,) * 7 + (1,)))\n"
+        "e8.orbit_size = size\n"
+        "order = e8._parabolic_order\n"
+        "e8._parabolic_order = lambda mask: 11\n"
+        "attempt(size, DominantWeight.from_fw((1,) * 8))\n"
+        "e8._parabolic_order = order\n"
+        "e8._ROOT_HEIGHTS = e8._ROOT_HEIGHTS + 1\n"
+        "attempt(order, 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(BUDGET_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "orbit closure disagrees with stabilizer order",
+        "stabilizer order 11 does not divide |W|",
+        "height product for mask 1 is not an integer",
+    ]
+
+
 def test_orbit_list_variant():
     pts = orbit(fw(0, 0, 0, 0, 0, 0, 0, 1))
     assert len(pts) == 240
     assert all(p.norm() == 2 for p in pts)
 
 
-def test_orbit_budget_guard():
+def test_orbit_budget_guard(monkeypatch):
     # norm-44 weight: appears in no shell or catalog support, so never cached
+    monkeypatch.setenv("E8JAC_BUDGET", "1000")
     with pytest.raises(BudgetError):
-        orbit_array(fw(2, 1, 0, 0, 0, 0, 0, 0), budget=1000)
+        orbit_array(fw(2, 1, 0, 0, 0, 0, 0, 0))
 
 
 def test_orbit_budget_env(monkeypatch):
