@@ -26,6 +26,7 @@ from .e8 import (
     _batch_reduce,
     _pack,
     _unpack,
+    max_coset_min_norm,
     max_pairing,
     orbit_size,
 )
@@ -587,8 +588,6 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
     return form
 
 
-
-
 # ---------------------------------------------------------------------------
 # Cascade systems on q^0 orbit coefficients
 
@@ -661,15 +660,19 @@ _WEAK_GEN_NAMES = {
     ),
 }
 
-# Holomorphy is decided by finitely many coefficient conditions per index:
-# (q-power, largest orbit norm allowed there). Violations at higher q-powers
-# would propagate down by quasi-periodicity, so these are conclusive.
-_HOL_RULES = {
-    1: (),
-    2: ((0, 0),),
-    3: ((0, 0), (1, 6)),
-    4: ((0, 0), (1, 8)),
-}
+
+@cache
+def _hol_rules(t: int) -> tuple[tuple[int, int], ...]:
+    """The holomorphy conditions at index t: pairs (n, 2nt), meaning no orbit
+    of norm above 2nt at q^n, one for every n with 2nt < max_coset_min_norm(t).
+
+    Quasi-periodicity keeps 2nt - (l,l) and moves l anywhere in its coset
+    l + tE8. So a negative 2nt - (l,l) also shows at a shortest vector l'
+    of that coset, at a q-power n' with 2n't < (l',l') <= max_coset_min_norm(t):
+    these finitely many conditions are conclusive.
+    """
+    top = max_coset_min_norm(t)
+    return tuple((n, 2 * n * t) for n in range(-(-top // (2 * t))))
 
 
 def weak_generator_names(t: int) -> tuple[str, ...]:
@@ -709,7 +712,7 @@ def holomorphic_subspace(weight: int, t: int, order: int) -> list[JacobiQExpansi
         raise ValueError(f"index {t} outside the constructible range 1..4")
     if weight % 2:
         raise ValueError("weight must be even")
-    rules = _HOL_RULES[t]
+    rules = _hol_rules(t)
     need = max((n for n, _ in rules), default=0)
     if order < need:
         raise ValueError(
@@ -826,19 +829,11 @@ def rank_series(t_max: int) -> list[int]:
     return out
 
 
-_GEN_WEIGHTS_BY_INDEX = {
-    1: (4,),
-    2: (-4, -2, 0),
-    3: (-8, -6, -4, -2, 0),
-    4: (-16, -14, -12, -10, -8, -8, -6, -4, -2, 0),
-}
-
-
 def _dim_weak(w: int, r: int) -> int:
     if r == 0:
         return dim_modular(w)
     if 1 <= r <= 4:
-        return sum(dim_modular(w - wg) for wg in _GEN_WEIGHTS_BY_INDEX[r])
+        return sum(dim_modular(w - REGISTRY[g].weight) for g in _WEAK_GEN_NAMES[r])
     if r == 5:
         if w <= -20:
             return 0

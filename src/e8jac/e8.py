@@ -3,11 +3,14 @@
 Vectors live in doubled coordinates: an E8 point x (with x_i all integers
 or all half-integers and even coordinate sum) is stored as d = 2x, eight
 integers of one shared parity with sum divisible by 4. Everything stays in
-integer arithmetic, including the closest-vector decoder.
+integer arithmetic, including the closest-vector decoder. A DominantWeight
+is such a vector (a subclass of E8Vector) that also carries its weight
+coordinates fw, and compares and hashes as its coordinates.
 
 Bulk kernels (alcove enumeration, batched dominant reduction, orbit closure,
 coset decoding) run on int64 numpy arrays; DominantWeight._from_rows turns a
-batch of dominant rows into weights. Every enumeration is bounded by the one
+batch of dominant rows into weights, and is the one constructor: a single
+weight is a batch of one. Every enumeration is bounded by the one
 element budget, element_budget(). Orbit sizes are |W| / |W_J|, with |W_J| a
 height product over positive roots (see _parabolic_order). An orbit is
 closed level by level in depth (the length of the shortest Weyl element
@@ -172,25 +175,25 @@ def pairing(a: E8Vector, b: E8Vector) -> int:
     return q
 
 
-class DominantWeight:
+class DominantWeight(E8Vector):
     """An E8Vector in the closed fundamental chamber, with its weight coordinates.
 
-    fw[i] = (alpha_{i+1}, v) >= 0, and v = sum fw[i] * w_{i+1}.
+    fw[i] = (alpha_{i+1}, m) >= 0, and m = sum fw[i] * w_{i+1}. It is the
+    lattice row itself: equality, hashing, order and norm are those of
+    the E8Vector with the same coordinates. Every instance is built by
+    _from_rows, one row or a batch.
     """
 
-    __slots__ = ("v", "fw")
+    __slots__ = ("fw",)
 
     def __init__(self, v: E8Vector):
-        fw = tuple(pairing(r, v) for r in SIMPLE_ROOTS)
-        if any(x < 0 for x in fw):
-            raise ValueError(f"not dominant: pairings {fw}")
-        self.v = v
-        self.fw = fw
+        (m,) = self._from_rows([v.d])
+        self.d, self.fw = m.d, m.fw
 
     @classmethod
     def _from_rows(cls, rows) -> list["DominantWeight"]:
         """One DominantWeight per row of an (n, 8) doubled-coordinate array, in
-        row order: the checks of E8Vector and __init__ run on the whole batch,
+        row order: the lattice and dominance checks run on the whole batch,
         and fw comes from one product with the simple roots."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 8)
         p4 = rows @ _A2.T
@@ -206,44 +209,31 @@ class DominantWeight:
         out = []
         for d, f in zip(rows.tolist(), fw.tolist()):
             m = cls.__new__(cls)
-            m.v, m.fw = E8Vector.__new__(E8Vector), tuple(f)
-            m.v.d = tuple(d)
+            m.d, m.fw = tuple(d), tuple(f)
             out.append(m)
         return out
 
     @classmethod
     def from_fw(cls, fw) -> "DominantWeight":
-        fw = tuple(int(x) for x in fw)
-        if len(fw) != 8 or any(x < 0 for x in fw):
-            raise ValueError("fw coordinates must be 8 non-negative integers")
-        d = tuple(
-            sum(fw[i] * _WEIGHTS_D[i][k] for i in range(8)) for k in range(8)
-        )
-        return cls(E8Vector(d))
+        fw = [int(x) for x in fw]
+        if len(fw) != 8:
+            raise ValueError("need exactly 8 fw coordinates")
+        return cls._from_rows(np.array(fw, dtype=np.int64) @ _W2)[0]
 
-    def norm(self) -> int:
-        return self.v.norm()
+    @property
+    def v(self) -> "DominantWeight":
+        """The weight itself: perfbench/spans.py still reads m.v.d."""
+        return self
 
     def t_statistic(self) -> int:
         """T(m) = (m, highest root) — the index bound statistic for q^0-terms."""
-        return pairing(self.v, HIGHEST_ROOT)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DominantWeight) and self.v == other.v
-
-    def __hash__(self) -> int:
-        return hash(self.v)
-
-    def __lt__(self, other: "DominantWeight") -> bool:
-        return self.v < other.v
+        return pairing(self, HIGHEST_ROOT)
 
     def __repr__(self) -> str:
         return f"DominantWeight(fw={list(self.fw)})"
 
     def to_json(self) -> dict:
-        out = self.v.to_json()
-        out["fw"] = list(self.fw)
-        return out
+        return {**super().to_json(), "fw": list(self.fw)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "DominantWeight":
@@ -390,7 +380,7 @@ def orbit_array(m: DominantWeight) -> np.ndarray:
     which doubles as the budget guard and, with the sorted keys' lack of
     adjacent duplicates, as a completeness check on the closure.
     """
-    key = m.v.d
+    key = m.d
     cached = _orbit_cache.get(key)
     if cached is not None:
         return cached
@@ -398,9 +388,9 @@ def orbit_array(m: DominantWeight) -> np.ndarray:
     limit = element_budget()
     if size > limit:
         raise BudgetError(f"orbit of size {size} exceeds element budget {limit}")
-    if m.v.d[7] > 127:
+    if m.d[7] > 127:
         raise BudgetError("lattice row has a doubled coordinate outside [-128, 127]")
-    level = np.array([m.v.d], dtype=np.int64)
+    level = np.array([m.d], dtype=np.int64)
     levels = [_pack(level)]
     while True:
         p4 = level @ _A2.T
@@ -549,5 +539,5 @@ def max_pairing(m: DominantWeight, two_n: int) -> int:
     """max of (m, l) over the norm-2n shell."""
     if two_n == 0:
         return 0
-    md = np.array(m.v.d, dtype=np.int64)
+    md = np.array(m.d, dtype=np.int64)
     return max(int((orbit_array(rep) @ md).max()) // 4 for rep, _ in shell(two_n))

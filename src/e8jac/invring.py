@@ -79,7 +79,7 @@ def _label_str(sub: str) -> str:
 _DICT_WEIGHTS: dict[str, DominantWeight] = {
     _label_str(sub): DominantWeight.from_fw(fw) for sub, fw in _SIGMA_FW.items()
 }
-_DICT_BY_D: dict[tuple, str] = {m.v.d: lab for lab, m in _DICT_WEIGHTS.items()}
+_DICT_BY_D: dict[tuple, str] = {m.d: lab for lab, m in _DICT_WEIGHTS.items()}
 
 #: Labels in ascending-norm order (the dictionary's own order).
 SIGMA_LABELS: tuple[str, ...] = tuple(_label_str(s) for s in _SIGMA_FW)
@@ -87,7 +87,7 @@ SIGMA_LABELS: tuple[str, ...] = tuple(_label_str(s) for s in _SIGMA_FW)
 
 def sigma_label(m: DominantWeight) -> str:
     """Display label for an orbit: dictionary Σ-name, else explicit fw coords."""
-    lab = _DICT_BY_D.get(m.v.d)
+    lab = _DICT_BY_D.get(m.d)
     if lab is not None:
         return lab
     return "orb(" + ",".join(str(x) for x in m.fw) + ")"
@@ -137,9 +137,6 @@ class InvariantElement:
     def coeff(self, m: DominantWeight) -> Fraction:
         return self.terms.get(m, Fraction(0))
 
-    def max_norm(self) -> int:
-        return max((m.norm() for m in self.terms), default=0)
-
     def __add__(self, other: "InvariantElement") -> "InvariantElement":
         return lincomb(((1, self), (1, other)))
 
@@ -154,7 +151,7 @@ class InvariantElement:
 
     def dilate(self, c: int) -> "InvariantElement":
         """The substitution z -> c·z: orb(m) -> orb(c·m) for a positive integer c."""
-        rows = c * np.array([m.v.d for m in self.terms], dtype=np.int64)
+        rows = c * np.array([m.d for m in self.terms], dtype=np.int64)
         out = InvariantElement()
         out.terms = dict(zip(DominantWeight._from_rows(rows), self.terms.values()))
         return out
@@ -204,7 +201,7 @@ class InvariantElement:
         labelled = []
         const = None
         for m in self.terms:
-            if m.v == ZERO:
+            if m == ZERO:
                 const = (None, self.terms[m])
             else:
                 disp = self.terms[m] * Fraction(orbit_size(m), 240)
@@ -338,11 +335,11 @@ _pair_cache: dict[tuple, InvariantElement] = {}
 def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElement:
     if orbit_size(m1) > orbit_size(m2):
         m1, m2 = m2, m1
-    key = (m1.v.d, m2.v.d)
+    key = (m1.d, m2.d)
     cached = _pair_cache.get(key)
     if cached is not None:
         return cached
-    if m2.v == ZERO:  # identity element
+    if m2 == ZERO:  # identity element
         out = InvariantElement.orbit_sum(m1)
     else:
         rows = orbit_array(m1)
@@ -360,7 +357,7 @@ def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElem
             raise CertificationError(
                 "W_J-orbit weights disagree with the orbit size of the first factor"
             )
-        shifted = rows[keep] + np.array(m2.v.d, dtype=np.int64)
+        shifted = rows[keep] + np.array(m2.d, dtype=np.int64)
         keys, inverse = np.unique(_pack(_batch_reduce(shifted)), return_inverse=True)
         counts = np.zeros(len(keys), dtype=np.int64)
         np.add.at(counts, inverse, weights)

@@ -72,13 +72,13 @@ class JacobiQExpansion:
         for n, elem in enumerate(self.terms):
             for m in elem.terms:
                 if self.index == 0:
-                    if m.v != ZERO:
+                    if m != ZERO:
                         raise ValueError(
                             f"index-0 form with non-trivial orbit at q^{n}"
                         )
                 else:
                     slack = 2 * n * self.index - m.norm()
-                    if slack < -coset_min_norm(m.v, self.index):
+                    if slack < -coset_min_norm(m, self.index):
                         raise ValueError(
                             f"support bound violated at q^{n}, fw={m.fw}: "
                             f"2nt - (l,l) = {slack} below coset minimum"
@@ -347,7 +347,7 @@ def classify(a: JacobiQExpansion) -> ClassifyResult:
     witness = None
     min_slack = None
     for n in range(a.order + 1):
-        for m in sorted(a.terms[n].terms, key=lambda m: (m.norm(), m.v.d)):
+        for m in sorted(a.terms[n].terms, key=lambda m: (m.norm(), m.d)):
             slack = 2 * n * t - m.norm()
             if min_slack is None or slack < min_slack:
                 min_slack = slack
@@ -386,9 +386,10 @@ def check_quasi_periodicity(
     random order of them, which depends only on the form's values and the
     seed. So the check is exhaustive when samples >= K, and costs no more
     for a larger `samples` (further checks would repeat ones made). The
-    images m + t·v are dominant-reduced in one batch. Returns `samples`;
-    raises AssertionError on a mismatch, RuntimeError when no triple is
-    checkable and ValueError when samples is negative.
+    images m + t·v are dominant-reduced in one batch. Returns the number of
+    checks made, min(samples, K); raises AssertionError on a mismatch,
+    RuntimeError when no triple is checkable and ValueError when samples is
+    negative.
     """
     t = a.index
     if t == 0:
@@ -396,11 +397,11 @@ def check_quasi_periodicity(
     if samples < 0:
         raise ValueError("samples must be non-negative")
     pool = sorted(
-        (n, m.v.d) for n in range(a.order + 1) for m in a.terms[n].terms
+        (n, m.d) for n in range(a.order + 1) for m in a.terms[n].terms
     )
     if not pool:
         return 0
-    coeffs = [{m.v.d: c for m, c in term.terms.items()} for term in a.terms]
+    coeffs = [{m.d: c for m, c in term.terms.items()} for term in a.terms]
     ns = np.array([n for n, _ in pool], dtype=np.int64)
     rows = np.array([d for _, d in pool], dtype=np.int64)
     roots = orbit_array(DominantWeight(HIGHEST_ROOT))
@@ -424,4 +425,4 @@ def check_quasi_periodicity(
                 f"quasi-periodicity broken: f({n},{d}) = {lhs} but "
                 f"f({n2},{tuple(img)}) = {rhs}"
             )
-    return samples
+    return len(pick)

@@ -7,6 +7,8 @@ function computes, and is used only by the tests:
 * ``orbit_pair_product_by_full_orbit`` for ``invring._orbit_pair_product``;
 * ``orbit_array_by_seen_set`` for ``e8.orbit_array``;
 * ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
+* ``weight_coordinates_by_pairings`` for ``e8.DominantWeight._from_rows``
+  (the fw coordinates of one row by eight scalar pairings);
 * ``parabolic_order_by_diagram`` for ``e8._parabolic_order`` (stabilizer
   orders by classifying the Coxeter subdiagram);
 * ``shell_by_enumeration`` for ``e8.shell``;
@@ -24,6 +26,7 @@ import numpy as np
 from e8jac.e8 import (
     _A2,
     HIGHEST_ROOT,
+    SIMPLE_ROOTS,
     WEYL_ORDER,
     ZERO,
     BudgetError,
@@ -35,6 +38,7 @@ from e8jac.e8 import (
     element_budget,
     orbit_array,
     orbit_size,
+    pairing,
 )
 from e8jac.invring import InvariantElement
 
@@ -44,7 +48,7 @@ def orbit_array_by_seen_set(m: DominantWeight) -> np.ndarray:
     closure under all 8 simple reflections against a seen set of sorted
     packed keys. Every level searches and inserts into the whole seen set.
     Not cached."""
-    frontier = np.array([m.v.d], dtype=np.int64)
+    frontier = np.array([m.d], dtype=np.int64)
     seen = _pack(frontier)
     while frontier.size:
         p4 = frontier @ _A2.T
@@ -68,9 +72,9 @@ def orbit_pair_product_by_full_orbit(
     smaller orbit and rescaling the counts by orbit sizes. Not cached."""
     if orbit_size(m1) > orbit_size(m2):
         m1, m2 = m2, m1
-    if m2.v == ZERO:
+    if m2 == ZERO:
         return InvariantElement.orbit_sum(m1)
-    shifted = orbit_array(m1) + np.array(m2.v.d, dtype=np.int64)
+    shifted = orbit_array(m1) + np.array(m2.d, dtype=np.int64)
     keys, counts = np.unique(_pack(_batch_reduce(shifted)), return_counts=True)
     out = InvariantElement()
     for rep, u in zip(_unpack(keys), counts):
@@ -104,6 +108,15 @@ def inv_mul_brute(m1: DominantWeight, m2: DominantWeight) -> dict[DominantWeight
         m = DominantWeight(E8Vector(row))
         out[m] = Fraction(int(n), orbit_size(m))
     return out
+
+
+def weight_coordinates_by_pairings(v: E8Vector) -> tuple[int, ...]:
+    """fw[i] = (alpha_{i+1}, v) for a dominant v, one scalar pairing per
+    simple root; raises ValueError when v is not dominant."""
+    fw = tuple(pairing(r, v) for r in SIMPLE_ROOTS)
+    if any(x < 0 for x in fw):
+        raise ValueError(f"not dominant: pairings {fw}")
+    return fw
 
 
 def _batch_reduce_by_reflection(arr: np.ndarray) -> np.ndarray:

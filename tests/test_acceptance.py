@@ -202,18 +202,26 @@ def test_10_structure():
         assert rep.ok, [r for r in rep.rows if not r[3]]
 
 
+# forms with fewer than 100 checkable quasi-periodicity triples, and how many
+_FEWER_THAN_100_TRIPLES = {
+    "a4": 15, "b4": 28, "c8_4": 47, "cusp_8_4": 15, "cusp_10_4": 12,
+    "cusp_12_4": 12, "u10_4": 16, "u12_4": 16, "x4": 31,
+}
+
+
 def test_11_form_properties():
     for name, entry in sorted(REGISTRY.items()):
         if not entry.buildable:
             continue
         f = build(name)
         assert classify(f).kind == entry.expected_class, name
-        assert check_quasi_periodicity(f, samples=100, seed=0) == 100, name
+        checks = _FEWER_THAN_100_TRIPLES.get(name, 100)
+        assert check_quasi_periodicity(f, samples=100, seed=0) == checks, name
         # support bound: 2nt - (l,l) >= -min norm of the coset l + t·E8
         for n in range(f.order + 1):
             for m in f.term(n).terms:
                 slack = 2 * n * f.index - m.norm()
-                assert slack >= -coset_min_norm(m.v, f.index), (name, n)
+                assert slack >= -coset_min_norm(m, f.index), (name, n)
         ok, bad = f.term(0).t_support_check(f.index)
         assert ok, (name, bad)
         if f.weight == 0:
@@ -269,9 +277,9 @@ for name, entry in sorted(REGISTRY.items()):
     k = 0
     for n in range(f.order + 1):
         for m in f.term(n).terms:
-            if 2 * n * t - m.norm() < -coset_min_norm(m.v, t):
+            if 2 * n * t - m.norm() < -coset_min_norm(m, t):
                 print("support bound", name, n)
-            dots = roots @ np.array(m.v.d) // 4
+            dots = roots @ np.array(m.d) // 4
             k += sum(int((n + w * dots + t * w * w <= f.order).sum())
                      for w in (1, 2))
     try:

@@ -34,6 +34,7 @@ from e8jac.catalog import (
     Recipe,
     Term,
     _display_coeff,
+    _hol_rules,
     _mf,
     _theta_pair_block,
     build_phi16_4,
@@ -238,6 +239,13 @@ def test_weak_generator_names():
     assert len(weak_generator_names(4)) == 10
     with pytest.raises(KeyError):
         weak_generator_names(5)
+
+
+def test_holomorphy_rules_from_coset_maxima():
+    # (n, 2nt) for every n with 2nt below the largest coset minimum 0, 4, 8, 16
+    assert [_hol_rules(t) for t in (1, 2, 3, 4)] == [
+        (), ((0, 0),), ((0, 0), (1, 6)), ((0, 0), (1, 8)),
+    ]
 
 
 def test_weight4_solutions_match_recipes():

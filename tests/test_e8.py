@@ -44,6 +44,7 @@ from oracles import (
     orbit_array_by_seen_set,
     parabolic_order_by_diagram,
     shell_by_enumeration,
+    weight_coordinates_by_pairings,
 )
 
 rng = np.random.default_rng(20240817)
@@ -100,8 +101,12 @@ def test_vector_validation():
 
 
 def test_dominant_weight_rejects_non_dominant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not dominant"):
         DominantWeight(-HIGHEST_ROOT)
+    with pytest.raises(ValueError, match="not dominant"):
+        DominantWeight.from_fw((0, 0, 0, 0, 0, 0, 0, -1))
+    with pytest.raises(ValueError, match="8 fw coordinates"):
+        DominantWeight.from_fw((1, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,7 @@ def random_lattice_vector(scale=3):
 def test_reduce_fixes_dominant():
     for coords in [(0,) * 8, (1, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 2, 0)]:
         m = fw(*coords)
-        assert dominant_reduce(m.v) == m
+        assert dominant_reduce(m) == m
 
 
 def test_reduce_preserves_norm_and_lands_dominant():
@@ -154,7 +159,7 @@ def test_batch_reduce_matches_reference():
     ref = _batch_reduce_by_reflection(singles)
     assert (_batch_reduce(singles) == ref).all()
     for v, row in zip(singles, ref):
-        assert dominant_reduce(E8Vector(tuple(int(x) for x in v))).v.d == tuple(
+        assert dominant_reduce(E8Vector(tuple(int(x) for x in v))).d == tuple(
             int(x) for x in row
         )
 
@@ -164,9 +169,9 @@ def test_batch_constructor_matches_per_row():
     batch = DominantWeight._from_rows(rows)
     assert len(batch) == len(rows)
     for m, row in zip(batch, rows):
-        ref = DominantWeight(E8Vector(row))
-        assert m.v.d == ref.v.d and m.fw == ref.fw
-        assert all(type(x) is int for x in m.v.d + m.fw)
+        assert m.d == tuple(row.tolist())
+        assert m.fw == weight_coordinates_by_pairings(E8Vector(row))
+        assert all(type(x) is int for x in m.d + m.fw)
 
 
 @pytest.mark.parametrize("bad,why", [
@@ -178,6 +183,24 @@ def test_batch_constructor_rejects_bad_rows(bad, why):
     rows = np.array([HIGHEST_ROOT.d, bad], dtype=np.int64)
     with pytest.raises(ValueError, match=why):
         DominantWeight._from_rows(rows)
+    # a single weight is a batch of one: the same checks, the same messages
+    unchecked = E8Vector.__new__(E8Vector)  # skips E8Vector's own checks
+    unchecked.d = bad
+    with pytest.raises(ValueError, match=why):
+        DominantWeight(unchecked)
+
+
+def test_dominant_weight_is_its_lattice_vector():
+    m = fw(0, 1, 0, 0, 0, 0, 0, 1)
+    v = E8Vector(m.d)
+    assert isinstance(m, E8Vector)
+    assert m == v and v == m and hash(m) == hash(v)
+    assert m.v is m
+    assert m.norm() == v.norm() == 16
+    assert (m < HIGHEST_ROOT) == (m.d < HIGHEST_ROOT.d)
+    assert DominantWeight(v).fw == m.fw
+    assert DominantWeight.from_json(m.to_json()) == m
+    assert m.to_json() == {"d": list(m.d), "doubled": True, "fw": list(m.fw)}
 
 
 @pytest.mark.parametrize(
@@ -226,13 +249,13 @@ def test_orbit_closure_by_depth_matches_seen_set(label, restore_orbit_cache):
 def test_orbit_closure_by_depth_to_the_byte_range(coords, restore_orbit_cache):
     m = fw(*coords)
     _assert_same_as_seen_set_closure(m)
-    assert np.abs(orbit_array(m)).max() == m.v.d[7]
+    assert np.abs(orbit_array(m)).max() == m.d[7]
 
 
 def test_orbit_beyond_byte_range_raises_before_closure(restore_orbit_cache):
     # (m, w_1) = m.d[7] is the largest |doubled coordinate| on the orbit
     m = fw(0, 0, 0, 0, 0, 0, 1, 62)
-    assert m.v.d[7] == 128
+    assert m.d[7] == 128
     with pytest.raises(BudgetError):
         orbit_array(m)
 

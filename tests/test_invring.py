@@ -15,6 +15,7 @@ import e8jac.invring
 from e8jac import (
     HIGHEST_ROOT,
     DominantWeight,
+    E8Vector,
     InvariantElement,
     from_display,
     inv_mul,
@@ -95,7 +96,7 @@ def test_pair_products_match_full_orbit_oracle(monkeypatch, restore_orbit_cache)
             ref = orbit_pair_product_by_full_orbit(m1, m2)
             assert list(fast.terms.items()) == list(ref.terms.items()), (m1, m2)
         e8jac.invring._pair_cache.clear()
-        e8jac.e8._orbit_cache.pop(m1.v.d, None)
+        e8jac.e8._orbit_cache.pop(m1.d, None)
 
 
 def test_pair_product_weight_sum_is_certified_under_optimize():
@@ -340,7 +341,14 @@ def test_pullback_of_constant():
     assert p == {0: Fraction(4)}
 
 
+def test_coeff_by_weight_or_by_its_lattice_vector():
+    x = InvariantElement({W8: Fraction(3), ZERO_W: Fraction(-1)})
+    assert x.coeff(W8) == x.coeff(E8Vector(W8.d)) == x.coeff(HIGHEST_ROOT) == 3
+    assert x.coeff(E8Vector((0,) * 8)) == -1
+    assert x.coeff(E8Vector(W1.d)) == 0
+
+
 def test_pullback_max_exponent_is_pairing_bound():
-    p = InvariantElement.orbit_sum(W8).pullback(W1.v)
+    p = InvariantElement.orbit_sum(W8).pullback(W1)
     assert max(p) == 2
     assert min(p) == -2
