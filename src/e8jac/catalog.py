@@ -553,8 +553,6 @@ REGISTRY.update(
     for alias, target in _ALIASES.items()
 )
 
-_build_cache: dict[tuple[str, int], JacobiQExpansion] = {}
-
 
 def default_order(index: int) -> int:
     return 2 if index >= 4 else 3
@@ -575,16 +573,18 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
         order = default_order(entry.index)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    key = (name, order)
-    cached = _build_cache.get(key)
-    if cached is not None:
-        return cached
+    return _build(name, order)
+
+
+@cache
+def _build(name: str, order: int) -> JacobiQExpansion:
+    """Run the registry builder of a checked name and order, and its contract check."""
+    entry = REGISTRY[name]
     form = entry.builder(order)
     if form.order > order:
         form = form.truncate(order)
     if (form.weight, form.index, form.order) != (entry.weight, entry.index, order):
         raise CertificationError(f"builder contract broken for {name}")
-    _build_cache[key] = form
     return form
 
 

@@ -16,11 +16,15 @@ height product over positive roots (see _parabolic_order). An orbit is
 closed level by level in depth (the length of the shortest Weyl element
 reaching a row from the dominant representative): each level is the
 positive-pairing reflections of the one before, deduplicated on its own.
-Every dedupe or bin of lattice rows packs each row into one uint64 key, a
-byte per doubled coordinate (see _pack), so every doubled coordinate must
-lie in [-128, 127]. A row beyond that, which needs norm >= 4096, raises
-BudgetError; the deepest path in the benchmark and the catalog reaches a
-doubled coordinate of 12.
+Every memo is a functools.cache keyed on exactly what the function reads,
+which for a lattice argument is its coordinates d: a DominantWeight and the
+E8Vector of its coordinates share one entry, so a cached function takes the
+stabilizer mask from the pairings of d with the simple roots
+(_stabilizer_mask), never from fw. Every dedupe or bin of lattice rows
+packs each row into one uint64 key, a byte per doubled coordinate (see
+_pack), so every doubled coordinate must lie in [-128, 127]. A row beyond
+that, which needs norm >= 4096, raises BudgetError; the deepest path in the
+benchmark and the catalog reaches a doubled coordinate of 12.
 """
 from __future__ import annotations
 
@@ -78,13 +82,22 @@ def element_budget(budget: int | None = None) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
+def _integers(xs) -> tuple[int, ...]:
+    """xs as a tuple of ints; a non-integral value raises instead of truncating."""
+    xs = tuple(xs)
+    out = tuple(int(x) for x in xs)
+    if out != xs:
+        raise ValueError(f"coordinates must be integers: {xs}")
+    return out
+
+
 class E8Vector:
     """A lattice point in doubled-integer coordinates (true coordinate = d_i / 2)."""
 
     __slots__ = ("d",)
 
     def __init__(self, d):
-        d = tuple(int(x) for x in d)
+        d = _integers(d)
         if len(d) != 8:
             raise ValueError("need exactly 8 coordinates")
         par = d[0] & 1
@@ -215,7 +228,7 @@ class DominantWeight(E8Vector):
 
     @classmethod
     def from_fw(cls, fw) -> "DominantWeight":
-        fw = [int(x) for x in fw]
+        fw = _integers(fw)
         if len(fw) != 8:
             raise ValueError("need exactly 8 fw coordinates")
         return cls._from_rows(np.array(fw, dtype=np.int64) @ _W2)[0]
@@ -306,7 +319,7 @@ def dominant_reduce(v: E8Vector) -> DominantWeight:
 # Orbit sizes via parabolic stabilizers.
 #
 # The stabilizer of a dominant weight is the standard parabolic subgroup W_J
-# generated by the simple reflections fixing it, J = {i : fw[i] = 0}. Its
+# generated by the simple reflections fixing it, J = {i : (α_i, m) = 0}. Its
 # order is a product over the positive roots supported on J (Macdonald, The
 # Poincaré series of a Coxeter group, 1972):
 #     |W_J| = prod (ht α + 1) / ht α  over α > 0 with supp α ⊆ J.
@@ -350,20 +363,27 @@ def _parabolic_order(mask: int) -> int:
     return q
 
 
-_orbit_cache: dict[tuple, np.ndarray] = {}
+def _stabilizer_mask(d: tuple[int, ...]) -> int:
+    """J = {i : (α_i, d) = 0} as a bit mask, for the doubled coordinates d of
+    a dominant vector, whose stabilizer is then W_J."""
+    p4 = [sum(a * b for a, b in zip(r, d)) for r in _ROOTS_D]
+    if min(p4) < 0:
+        raise ValueError(f"not dominant: {d}")
+    return sum(1 << i for i, x in enumerate(p4) if x == 0)
 
 
 @functools.cache
-def orbit_size(m: DominantWeight) -> int:
+def orbit_size(m: E8Vector) -> int:
     """|W(E8)-orbit of m| = |W(E8)| / |stabilizer|, computed without enumeration."""
-    stab = _parabolic_order(sum(1 << i for i, x in enumerate(m.fw) if x == 0))
+    stab = _parabolic_order(_stabilizer_mask(m.d))
     q, r = divmod(WEYL_ORDER, stab)
     if r:
         raise CertificationError(f"stabilizer order {stab} does not divide |W|")
     return q
 
 
-def orbit_array(m: DominantWeight) -> np.ndarray:
+@functools.cache
+def orbit_array(m: E8Vector) -> np.ndarray:
     """The full orbit as a lexicographically sorted (size, 8) int64 array.
 
     Closed level by level in the depth of a, #{β > 0 : (β, a) < 0}, the
@@ -380,10 +400,6 @@ def orbit_array(m: DominantWeight) -> np.ndarray:
     which doubles as the budget guard and, with the sorted keys' lack of
     adjacent duplicates, as a completeness check on the closure.
     """
-    key = m.d
-    cached = _orbit_cache.get(key)
-    if cached is not None:
-        return cached
     size = orbit_size(m)
     limit = element_budget()
     if size > limit:
@@ -406,7 +422,6 @@ def orbit_array(m: DominantWeight) -> np.ndarray:
         raise CertificationError("orbit closure disagrees with stabilizer order")
     out = _unpack(keys)
     out.setflags(write=False)
-    _orbit_cache[key] = out
     return out
 
 
@@ -536,8 +551,6 @@ def max_coset_min_norm(t: int) -> int:
 
 
 def max_pairing(m: DominantWeight, two_n: int) -> int:
-    """max of (m, l) over the norm-2n shell."""
-    if two_n == 0:
-        return 0
-    md = np.array(m.d, dtype=np.int64)
-    return max(int((orbit_array(rep) @ md).max()) // 4 for rep, _ in shell(two_n))
+    """max of (m, l) over the norm-2n shell. For dominant λ and m,
+    (w·λ, m) <= (λ, m), so the maximum is at a shell representative."""
+    return max(pairing(rep, m) for rep, _ in shell(two_n))

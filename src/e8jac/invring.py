@@ -10,6 +10,7 @@ Internally everything multiplies plain orbit sums; the 240-normalized
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from .e8 import (
     _batch_reduce,
     _pack,
     _parabolic_order,
+    _stabilizer_mask,
     _unpack,
     orbit_array,
     orbit_size,
@@ -320,8 +322,8 @@ def from_display(pairs) -> InvariantElement:
 # the pair count #{(a,b) : a+b in orbit(m)} is constant along the orbit of
 # the second factor, so one pass over the smaller orbit suffices.
 #
-# That pass runs over one row per W_J-orbit, where W_J, J = {i : fw_i(m2) =
-# 0}, is the parabolic stabilizer of m2: reduce(g·a + m2) = reduce(a + m2)
+# That pass runs over one row per W_J-orbit, where W_J, J = {i : (α_i, m2)
+# = 0}, is the parabolic stabilizer of m2: reduce(g·a + m2) = reduce(a + m2)
 # for g in W_J. Each W_J-orbit in orbit(m1) holds exactly one J-dominant a
 # ((α_i, a) >= 0 for i in J), whose W_J-stabilizer is the parabolic
 # subgroup on J ∩ Z(a), Z(a) = {i : (α_i, a) = 0} (Humphreys §1.10–1.12).
@@ -329,50 +331,45 @@ def from_display(pairs) -> InvariantElement:
 # reduce(a + m2) = m. The weights must add up to |orbit(m1)|, which is
 # checked on every call.
 
-_pair_cache: dict[tuple, InvariantElement] = {}
 
-
+@functools.cache
 def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElement:
-    if orbit_size(m1) > orbit_size(m2):
-        m1, m2 = m2, m1
-    key = (m1.d, m2.d)
-    cached = _pair_cache.get(key)
-    if cached is not None:
-        return cached
+    """orb(m1)·orb(m2), passing over orbit(m1): callers put the smaller orbit first."""
     if m2 == ZERO:  # identity element
-        out = InvariantElement.orbit_sum(m1)
-    else:
-        rows = orbit_array(m1)
-        J = [i for i in range(8) if m2.fw[i] == 0]
-        p4 = rows @ _A2[J].T
-        keep = (p4 >= 0).all(axis=1)
-        masks, bins = np.unique(
-            (p4[keep] == 0) @ (1 << np.array(J, dtype=np.int64)), return_inverse=True
+        return InvariantElement.orbit_sum(m1)
+    rows = orbit_array(m1)
+    mask = _stabilizer_mask(m2.d)
+    J = [i for i in range(8) if mask >> i & 1]
+    p4 = rows @ _A2[J].T
+    keep = (p4 >= 0).all(axis=1)
+    masks, bins = np.unique(
+        (p4[keep] == 0) @ (1 << np.array(J, dtype=np.int64)), return_inverse=True
+    )
+    order_j = _parabolic_order(mask)
+    weights = np.array(
+        [order_j // _parabolic_order(int(z)) for z in masks], dtype=np.int64
+    )[bins]
+    if int(weights.sum()) != orbit_size(m1):
+        raise CertificationError(
+            "W_J-orbit weights disagree with the orbit size of the first factor"
         )
-        order_j = _parabolic_order(sum(1 << i for i in J))
-        weights = np.array(
-            [order_j // _parabolic_order(int(z)) for z in masks], dtype=np.int64
-        )[bins]
-        if int(weights.sum()) != orbit_size(m1):
-            raise CertificationError(
-                "W_J-orbit weights disagree with the orbit size of the first factor"
-            )
-        shifted = rows[keep] + np.array(m2.d, dtype=np.int64)
-        keys, inverse = np.unique(_pack(_batch_reduce(shifted)), return_inverse=True)
-        counts = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(counts, inverse, weights)
-        size2 = orbit_size(m2)
-        out = InvariantElement()
-        for m, u in zip(DominantWeight._from_rows(_unpack(keys)), counts.tolist()):
-            out.terms[m] = Fraction(u * size2, orbit_size(m))
-    _pair_cache[key] = out
+    shifted = rows[keep] + np.array(m2.d, dtype=np.int64)
+    keys, inverse = np.unique(_pack(_batch_reduce(shifted)), return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse, weights)
+    size2 = orbit_size(m2)
+    out = InvariantElement()
+    for m, u in zip(DominantWeight._from_rows(_unpack(keys)), counts.tolist()):
+        out.terms[m] = Fraction(u * size2, orbit_size(m))
     return out
 
 
 def inv_mul(x: InvariantElement, y: InvariantElement) -> InvariantElement:
-    """Product of two invariant elements, re-expressed in orbit sums."""
+    """Product of two invariant elements, re-expressed in orbit sums. Each
+    orbit pair goes smaller orbit first; the sort is stable, so a tie keeps
+    the order of the factors."""
     return lincomb(
-        (c1 * c2, _orbit_pair_product(m1, m2))
+        (c1 * c2, _orbit_pair_product(*sorted((m1, m2), key=orbit_size)))
         for m1, c1 in x.terms.items()
         for m2, c2 in y.terms.items()
     )

@@ -7,6 +7,7 @@ claims more coefficients than both inputs can certify.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, isqrt
 
 __all__ = [
@@ -33,19 +34,15 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-
-
+@cache
 def bernoulli(m: int) -> Fraction:
     """m-th Bernoulli number, B_1 = -1/2 convention (only even m are used here)."""
     if m < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    while len(_bernoulli_cache) <= m:
-        n = len(_bernoulli_cache)
-        # sum_{j=0}^{n} C(n+1, j) B_j = 0  for n >= 1
-        acc = sum(comb(n + 1, j) * _bernoulli_cache[j] for j in range(n))
-        _bernoulli_cache.append(Fraction(-acc, n + 1))
-    return _bernoulli_cache[m]
+    if m == 0:
+        return Fraction(1)
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0  for m >= 1
+    return Fraction(-sum(comb(m + 1, j) * bernoulli(j) for j in range(m)), m + 1)
 
 
 def sigma_pow(n: int, k: int) -> int:
@@ -217,28 +214,11 @@ def eisenstein(k: int, order: int) -> ModularQSeries:
 
 
 def delta(order: int) -> ModularQSeries:
-    """The cusp form q - 24q^2 + 252q^3 - ... via eta's pentagonal series, 24th power."""
+    """The cusp form q - 24q^2 + 252q^3 - ... as (E4^3 - E6^2)/1728."""
+    # eisenstein returns an order-0 series for a negative order
     if order < 0:
         raise ValueError("order must be non-negative")
-    if order == 0:
-        return ModularQSeries(12, [Fraction(0)])
-    # eta = q^{1/24} * P(q) with P = sum_{k in Z} (-1)^k q^{k(3k-1)/2};
-    # Delta = q * P^24, so P is needed through q^{order-1}.
-    n = order - 1
-    p = [Fraction(0)] * (n + 1)
-    k = 0
-    while True:
-        hit = False
-        for kk in (k, -k) if k else (0,):
-            e = kk * (3 * kk - 1) // 2
-            if e <= n:
-                p[e] += (-1) ** (kk % 2)
-                hit = True
-        if not hit:
-            break
-        k += 1
-    p24 = ModularQSeries(0, p) ** 24
-    return ModularQSeries(12, [Fraction(0)] + p24.coeffs)
+    return (eisenstein(4, order) ** 3 - eisenstein(6, order) ** 2) * Fraction(1, 1728)
 
 
 def dim_modular(k: int) -> int:

@@ -1,14 +1,38 @@
 """Fixtures shared by the test modules."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-import e8jac.e8
+import e8jac
+
+
+def e8jac_modules():
+    """Every module of the e8jac package, imported."""
+    return [importlib.import_module(f"e8jac.{info.name}")
+            for info in pkgutil.iter_modules(e8jac.__path__)]
+
+
+def memos():
+    """Every memo in the e8jac modules: each attribute with a cache_clear, once."""
+    found = {}
+    for mod in e8jac_modules():
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)):
+                found[id(value)] = value
+    return list(found.values())
+
+
+def _clear_memos():
+    for memo in memos():
+        memo.cache_clear()
 
 
 @pytest.fixture
-def restore_orbit_cache():
-    """Drop the orbits a test closes, so they do not stay for the session."""
-    saved = dict(e8jac.e8._orbit_cache)
-    yield
-    e8jac.e8._orbit_cache.clear()
-    e8jac.e8._orbit_cache.update(saved)
+def cold_memos():
+    """Run the test on cleared memos and clear what it cached afterwards.
+    The yielded function clears every memo again when a test needs it."""
+    _clear_memos()
+    yield _clear_memos
+    _clear_memos()

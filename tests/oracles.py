@@ -14,7 +14,11 @@ function computes, and is used only by the tests:
 * ``shell_by_enumeration`` for ``e8.shell``;
 * ``check_quasi_periodicity_by_orbit_scan`` for
   ``jacobi.check_quasi_periodicity``;
-* ``lincomb_by_fold`` for ``invring.lincomb``.
+* ``lincomb_by_fold`` for ``invring.lincomb``;
+* ``delta_by_eta_product`` for ``qseries.delta`` (η²⁴ from the pentagonal
+  series, where the library uses (E4³ − E6²)/1728);
+* ``max_pairing_by_orbit`` for ``e8.max_pairing`` (the maximum over every
+  closed shell orbit, not only the representatives).
 """
 from __future__ import annotations
 
@@ -39,8 +43,10 @@ from e8jac.e8 import (
     orbit_array,
     orbit_size,
     pairing,
+    shell,
 )
 from e8jac.invring import InvariantElement
+from e8jac.qseries import ModularQSeries
 
 
 def orbit_array_by_seen_set(m: DominantWeight) -> np.ndarray:
@@ -329,3 +335,34 @@ def lincomb_by_fold(pairs) -> InvariantElement:
             out[m] = out.get(m, Fraction(0)) + v
         acc = InvariantElement(out)
     return acc
+
+
+def delta_by_eta_product(order: int) -> ModularQSeries:
+    """Δ = q·P(q)^24 with η = q^{1/24}·P(q) and P = sum over k in Z of
+    (-1)^k q^{k(3k-1)/2}, Euler's pentagonal series; P is needed through
+    q^{order-1}."""
+    if order == 0:
+        return ModularQSeries(12, [Fraction(0)])
+    n = order - 1
+    p = [Fraction(0)] * (n + 1)
+    k = 0
+    while True:
+        hit = False
+        for kk in (k, -k) if k else (0,):
+            e = kk * (3 * kk - 1) // 2
+            if e <= n:
+                p[e] += (-1) ** (kk % 2)
+                hit = True
+        if not hit:
+            break
+        k += 1
+    p24 = ModularQSeries(0, p) ** 24
+    return ModularQSeries(12, [Fraction(0)] + p24.coeffs)
+
+
+def max_pairing_by_orbit(m: DominantWeight, two_n: int) -> int:
+    """max of (m, l) over the norm-2n shell, scanning every closed orbit."""
+    if two_n == 0:
+        return 0
+    md = np.array(m.d, dtype=np.int64)
+    return max(int((orbit_array(rep) @ md).max()) // 4 for rep, _ in shell(two_n))

@@ -89,7 +89,7 @@ def test_default_orders():
     assert build("phi_-4_4").order == 2
 
 
-def test_build_cache_returns_same_object():
+def test_build_memo_returns_same_object():
     assert build("x2", 2) is build("x2", 2)
     assert build("x2", 2) is not build("x2", 3)
 

@@ -101,7 +101,7 @@ def test_shell_budget(capsys):
     assert "budget" in err
 
 
-def test_certification_failure_exits_3(capsys, monkeypatch):
+def test_certification_failure_exits_3(capsys, monkeypatch, cold_memos):
     import e8jac.e8 as e8
 
     full = e8.alcove
@@ -111,23 +111,18 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
         return rows[(rows * rows).sum(axis=1) != 32]  # drop the norm-8 rows
 
     monkeypatch.setattr(e8, "alcove", alcove)
-    e8._shell.cache_clear()
-    try:
-        code, out, err = run(capsys, "orbits", "--norm", "8")
-    finally:
-        e8._shell.cache_clear()
+    code, out, err = run(capsys, "orbits", "--norm", "8")
     assert code == 3
     assert out == ""
     assert err.startswith("error: shell 8") and err.count("\n") == 1
 
 
-def test_catalog_certification_failure_exits_3(capsys, monkeypatch):
+def test_catalog_certification_failure_exits_3(capsys, monkeypatch, cold_memos):
     # a builder that returns the wrong form breaks the builder contract,
     # which is a failed certification, not a usage error
     import e8jac.catalog as catalog
 
     monkeypatch.setitem(REGISTRY, "x4", replace(REGISTRY["x4"], builder=theta_e8))
-    monkeypatch.setattr(catalog, "_build_cache", {})
     code, out, err = run(capsys, "expand", "--form", "x4")
     assert code == 3
     assert out == ""
@@ -194,6 +189,17 @@ def test_verify_json_shape(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_verify_properties_is_exhaustive(capsys):
+    # every checkable quasi-periodicity triple: K per form, 37,348 in all
+    code, out, _ = run(capsys, "verify", "--suite", "properties",
+                       "--format", "json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "properties: quasi-periodicity x2 (604 checks)" in names
+    counts = [int(n.rsplit("(", 1)[1].split()[0]) for n in names if "checks)" in n]
+    assert len(counts) == 46 and sum(counts) == 37348
 
 
 def test_verify_reports_failure(capsys, monkeypatch):

@@ -41,6 +41,7 @@ from e8jac.e8 import (
 from e8jac.qseries import sigma_pow
 from e8jac.invring import SIGMA_LABELS, label_weight
 from oracles import (
+    max_pairing_by_orbit,
     orbit_array_by_seen_set,
     parabolic_order_by_diagram,
     shell_by_enumeration,
@@ -203,6 +204,18 @@ def test_dominant_weight_is_its_lattice_vector():
     assert m.to_json() == {"d": list(m.d), "doubled": True, "fw": list(m.fw)}
 
 
+def test_non_integral_coordinates_are_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        E8Vector([1.5] * 8)
+    with pytest.raises(ValueError, match="integers"):
+        DominantWeight.from_fw([0] * 7 + [1.7])
+    with pytest.raises(ValueError, match="integers"):
+        E8Vector.from_json({"d": [1.5] * 8, "doubled": True})
+    # integral floats and numpy integers are integers
+    assert E8Vector([2.0, 2.0] + [0] * 6) == E8Vector(np.array([2, 2] + [0] * 6))
+    assert DominantWeight.from_fw(np.array([0.0] * 7 + [1.0])) == HIGHEST_ROOT
+
+
 @pytest.mark.parametrize(
     "coords,size",
     [
@@ -236,7 +249,7 @@ def _assert_same_as_seen_set_closure(m):
 
 @pytest.mark.parametrize(
     "label", [lab for lab in SIGMA_LABELS if orbit_size(label_weight(lab)) <= 200_000])
-def test_orbit_closure_by_depth_matches_seen_set(label, restore_orbit_cache):
+def test_orbit_closure_by_depth_matches_seen_set(label, cold_memos):
     _assert_same_as_seen_set_closure(label_weight(label))
 
 
@@ -246,13 +259,13 @@ def test_orbit_closure_by_depth_matches_seen_set(label, restore_orbit_cache):
     (31, 0, 0, 0, 0, 0, 0, 1),   # up to 126, 30,240 rows
     (0, 1, 0, 0, 0, 0, 0, 61),   # up to 127, the largest a key holds
 ])
-def test_orbit_closure_by_depth_to_the_byte_range(coords, restore_orbit_cache):
+def test_orbit_closure_by_depth_to_the_byte_range(coords, cold_memos):
     m = fw(*coords)
     _assert_same_as_seen_set_closure(m)
     assert np.abs(orbit_array(m)).max() == m.d[7]
 
 
-def test_orbit_beyond_byte_range_raises_before_closure(restore_orbit_cache):
+def test_orbit_beyond_byte_range_raises_before_closure(cold_memos):
     # (m, w_1) = m.d[7] is the largest |doubled coordinate| on the orbit
     m = fw(0, 0, 0, 0, 0, 0, 1, 62)
     assert m.d[7] == 128
@@ -419,7 +432,7 @@ def test_shell_rejects_odd():
         shell(3)
 
 
-def test_shell_certification_is_an_exception(monkeypatch):
+def test_shell_certification_is_an_exception(monkeypatch, cold_memos):
     # the theta-identity count must raise, not assert, so it fires under -O
     full = e8jac.e8.alcove
 
@@ -428,12 +441,8 @@ def test_shell_certification_is_an_exception(monkeypatch):
         return rows[(rows * rows).sum(axis=1) != 32]  # drop the norm-8 rows
 
     monkeypatch.setattr(e8jac.e8, "alcove", alcove)
-    e8jac.e8._shell.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="shell 8"):
-            shell(8)
-    finally:
-        e8jac.e8._shell.cache_clear()
+    with pytest.raises(RuntimeError, match="shell 8"):
+        shell(8)
 
 
 def test_shell_certification_fires_under_optimize():
@@ -575,6 +584,13 @@ def test_max_pairing_spot_values():
     assert max_pairing(fw(0, 0, 0, 0, 0, 0, 0, 1), 4) == 2
     assert max_pairing(fw(1, 0, 0, 0, 0, 0, 0, 0), 4) == 4
     assert max_pairing(fw(3, 0, 0, 0, 0, 0, 0, 0), 4) == 12
+
+
+@pytest.mark.parametrize("two_n", range(0, 13, 2))
+def test_max_pairing_matches_orbit_scan(two_n, cold_memos):
+    for lab in SIGMA_LABELS:
+        m = label_weight(lab)
+        assert max_pairing(m, two_n) == max_pairing_by_orbit(m, two_n), lab
 
 
 def test_max_pairing_symmetric_in_sign():

@@ -84,19 +84,17 @@ def test_constant_is_scalar():
     assert InvariantElement.constant(1) * x == x
 
 
-def test_pair_products_match_full_orbit_oracle(monkeypatch, restore_orbit_cache):
+def test_pair_products_match_full_orbit_oracle(cold_memos):
     # all 351 unordered pairs of dictionary orbits; with the smaller orbit
     # first, each pair closes only that orbit, which is dropped once its
-    # pairs are done so that the cache holds at most one of them
-    monkeypatch.setattr(e8jac.invring, "_pair_cache", {})
+    # pairs are done so that the memos hold at most one of them
     reps = sorted((label_weight(lab) for lab in SIGMA_LABELS), key=orbit_size)
     for i, m1 in enumerate(reps):
         for m2 in reps[i:]:
             fast = e8jac.invring._orbit_pair_product(m1, m2)
             ref = orbit_pair_product_by_full_orbit(m1, m2)
             assert list(fast.terms.items()) == list(ref.terms.items()), (m1, m2)
-        e8jac.invring._pair_cache.clear()
-        e8jac.e8._orbit_cache.pop(m1.d, None)
+        cold_memos()
 
 
 def test_pair_product_weight_sum_is_certified_under_optimize():
@@ -122,10 +120,8 @@ def test_pair_product_weight_sum_is_certified_under_optimize():
         "W_J-orbit weights disagree with the orbit size of the first factor")
 
 
-def test_deep_build_reduces_one_row_per_stabilizer_orbit(monkeypatch, restore_orbit_cache):
+def test_deep_build_reduces_one_row_per_stabilizer_orbit(monkeypatch, cold_memos):
     # a fallback to reducing every row of the smaller orbit reduces 222,257
-    monkeypatch.setattr(e8jac.invring, "_pair_cache", {})
-    monkeypatch.setattr(e8jac.catalog, "_build_cache", {})
     rows = []
     reduce = e8jac.invring._batch_reduce
 
@@ -310,6 +306,12 @@ def test_json_round_trip():
     assert InvariantElement.from_json(obj) == e
     coeffs = [t["coeff"] for t in obj["terms"]]
     assert all(isinstance(c, str) for c in coeffs)
+
+
+def test_json_rejects_non_integral_weight_coordinates():
+    obj = {"terms": [{"fw": [0] * 7 + [1.7], "coeff": "1"}]}
+    with pytest.raises(ValueError, match="integers"):
+        InvariantElement.from_json(obj)
 
 
 # ---------------------------------------------------------------------------

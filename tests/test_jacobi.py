@@ -409,7 +409,7 @@ def test_quasi_periodicity_sample_ignores_insertion_order():
 
 @pytest.mark.parametrize(
     "check", [check_quasi_periodicity, check_quasi_periodicity_by_orbit_scan])
-def test_quasi_periodicity_agrees_with_orbit_scan(check, restore_orbit_cache):
+def test_quasi_periodicity_agrees_with_orbit_scan(check, cold_memos):
     # the library counts the checks it made, at most the K checkable
     # triples; the orbit scan samples with repetition and makes all 20
     for f in _buildable_forms():
@@ -423,10 +423,11 @@ def test_quasi_periodicity_agrees_with_orbit_scan(check, restore_orbit_cache):
 
 def test_quasi_periodicity_closes_only_the_root_orbit():
     forms = [build(name) for name in ("b2", "u12_2", "v14_2", "w16_2", "x2")]
-    before = set(e8jac.e8._orbit_cache)
+    orbit_array(DominantWeight(HIGHEST_ROOT))
+    before = orbit_array.cache_info().currsize
     for f in forms:
         assert check_quasi_periodicity(f) == 100
-    assert set(e8jac.e8._orbit_cache) - before <= {HIGHEST_ROOT.d}
+    assert orbit_array.cache_info().currsize == before
 
 
 def test_quasi_periodicity_needs_a_checkable_triple():

@@ -17,6 +17,7 @@ from e8jac.qseries import (
     series_mul,
     sigma_pow,
 )
+from oracles import delta_by_eta_product
 
 N = 24
 
@@ -56,10 +57,14 @@ def test_eisenstein_e12_has_691_denominator():
 
 
 def test_delta_two_routes_agree():
-    # pentagonal-number eta^24 versus the Eisenstein expression
-    e4, e6 = eisenstein(4, N), eisenstein(6, N)
-    alt = (e4**3 - e6**2) * Fraction(1, 1728)
-    assert delta(N) == alt
+    # the Eisenstein expression versus the pentagonal-number eta^24
+    for order in range(N + 1):
+        assert delta(order) == delta_by_eta_product(order), order
+
+
+def test_delta_rejects_negative_order():
+    with pytest.raises(ValueError, match="non-negative"):
+        delta(-1)
 
 
 def test_delta_tau_values():
