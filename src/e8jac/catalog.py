@@ -2,10 +2,12 @@
 
 Every explicitly constructed form of index 1..4 lives here under a stable
 ASCII identifier, together with its recipe, its normalization rule, and the
-class (weak / holomorphic / cusp) it is expected to have. Most forms are
-recipes held as data and built by one evaluator, which computes the input
-orders backward through the operator chain, so a requested truncation order
-is honest: all returned terms are exact.
+class (weak / holomorphic / cusp) it is expected to have, and the leading
+terms that the verify suites pin. Every form but the three theta seeds
+(theta_e8, a4, phi_-16_4) is a recipe held as data and built by one
+evaluator, which computes the input orders backward through the operator
+chain, so a requested truncation order is honest: all returned terms are
+exact.
 
 Alongside the registry: the q^0 cascade linear systems, holomorphic-subspace
 extraction by exact linear algebra, free-module rank verification, the rank
@@ -69,8 +71,8 @@ __all__ = [
 
 
 class CatalogError(RuntimeError):
-    """A request the catalog cannot serve: a declared-only form, too low an
-    order for a recipe, or a table past the range its inputs determine."""
+    """A request the catalog cannot serve: a declared-only form, or a table
+    past the range its inputs determine."""
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +241,10 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
 # where c is a rational (default 1), the modular factors and heat are
 # optional, F1·F2·… is a product of registry forms and F|T₋(s) applies the
 # index-raising operator. A recipe may divide the sum by Δ (its terms are
-# then built one order deeper), rescale it so that one q^0 Σ-label has
-# display coefficient 1, or subtract the multiple of a tail term that
-# cancels the q² Σ_{16'} coefficient. One evaluator builds every recipe, and
-# the registry's recipe text is rendered from the same data.
+# then built one order deeper). Every normalization is a literal
+# coefficient of some term, so evaluating a recipe reads no coefficient of
+# what it builds. One evaluator builds every recipe, and the registry's
+# recipe text is rendered from the same data.
 
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -291,38 +293,15 @@ class Term:
 class Recipe:
     terms: tuple[Term, ...]
     over_delta: bool = False
-    lead: str = ""  # Σ-label whose q^0 display coefficient is scaled to 1
-    cancel: Term | None = None  # tail term for the q² Σ_{16'} cancellation
 
     def __call__(self, n: int) -> JacobiQExpansion:
         """Evaluate the recipe to order n."""
-        if self.cancel and n < 2:
-            raise CatalogError(
-                "the cancellation rule reads the q^2 term; build with order >= 2"
-            )
         k = n + 1 if self.over_delta else n
         parts = [_term(t, k) for t in self.terms]
         _check_kinds(f for _, f in parts)
         form = jf_lincomb(parts)
         if self.over_delta:
             form = jf_div_modular(form, _mf(0, 0, 1, k))
-        if self.lead:
-            lam = _display_coeff(form.term(0), self.lead)
-            if not lam:
-                raise CertificationError(
-                    f"normalization failed: no {self.lead} part at q^0"
-                )
-            form = form.scale(1 / lam)
-        if self.cancel:
-            _, tail = _term(self.cancel, n)
-            _check_kinds((form, tail))
-            denom = _display_coeff(tail.term(2), "Σ_{16'}")
-            if not denom:
-                raise CertificationError(
-                    "cancellation target missing from the subtracted form"
-                )
-            lam = _display_coeff(form.term(2), "Σ_{16'}") / denom
-            form = jf_lincomb([(1, form), (-lam, tail)])
         return form
 
     def __str__(self) -> str:
@@ -330,24 +309,11 @@ class Recipe:
             f" {'−' if t.coeff < 0 else '+'} {t.text()}" for t in self.terms
         )
         out = out[3:] if out.startswith(" + ") else "−" + out[3:]
-        if self.over_delta:
-            out = f"({out}) / Δ"
-        if self.lead:
-            out += ", rescaled"
-        if self.cancel:
-            out += f" − *{self.cancel.text()}"
-        return out
+        return f"({out}) / Δ" if self.over_delta else out
 
 
-def parse_recipe(
-    *terms: str, over_delta: bool = False, lead: str = "", cancel: str = ""
-) -> Recipe:
-    return Recipe(
-        tuple(map(Term.parse, terms)),
-        over_delta,
-        lead,
-        Term.parse(cancel) if cancel else None,
-    )
+def parse_recipe(*terms: str, over_delta: bool = False) -> Recipe:
+    return Recipe(tuple(map(Term.parse, terms)), over_delta)
 
 
 def _term(t: Term, n: int) -> tuple[Fraction, JacobiQExpansion]:
@@ -374,13 +340,6 @@ def _b_a4(n: int) -> JacobiQExpansion:
     return rescale_z(theta_e8(n), 2)
 
 
-def _b_b3(n: int) -> JacobiQExpansion:
-    basis = holomorphic_subspace(6, 3, max(n, 1))
-    if len(basis) != 1:
-        raise CertificationError(f"expected a unique weight-6 form, got {len(basis)}")
-    return basis[0].truncate(n)
-
-
 # ---------------------------------------------------------------------------
 # Registry
 
@@ -393,7 +352,9 @@ class RegistryEntry:
     recipe: str
     expected_class: str
     normalization: str = ""
-    display: str = ""
+    # (n, text): the q^n term's display_str() is exactly text; the index
+    # verify suites check every pin
+    pins: tuple[tuple[int, str], ...] = ()
     builder: object = None  # order -> JacobiQExpansion: a Recipe or a function
 
     @property
@@ -408,117 +369,130 @@ class RegistryEntry:
             "recipe": self.recipe,
             "normalization": self.normalization,
             "expected_class": self.expected_class,
-            "display": self.display,
+            "display": {str(n): text for n, text in self.pins},
             "buildable": self.buildable,
         }
 
 
 def _form(name, weight, index, expected_class, *terms, normalization="",
-          display="", over_delta=False, lead="", cancel="") -> RegistryEntry:
+          pins=(), over_delta=False) -> RegistryEntry:
     """A registry entry whose builder and recipe text come from one recipe."""
-    recipe = parse_recipe(*terms, over_delta=over_delta, lead=lead, cancel=cancel)
-    if lead:
-        normalization = f"q^0 coefficient of {lead} is 1"
-    if cancel:
-        normalization = "* cancels the q² Σ_{16'} coefficient"
+    recipe = parse_recipe(*terms, over_delta=over_delta)
     return RegistryEntry(name, weight, index, str(recipe), expected_class,
-                         normalization, display, builder=recipe)
+                         normalization, pins, builder=recipe)
 
 
 def _entries() -> list[RegistryEntry]:
     E, F = RegistryEntry, _form
     z4, z6 = "z=0 value is E4", "z=0 value is E6"
+    star = "q² Σ_{16'} coefficient is 0"
     return [
         E("theta_e8", 4, 1, "lattice theta series", "holomorphic",
-          display="1 + qΣ_2 + O(q²)", builder=theta_e8),
+          builder=theta_e8),
         F("x2", 4, 2, "holomorphic", "1/9 theta_e8|T₋(2)", normalization=z4,
-          display="1 + qΣ_4 + O(q²)"),
+          pins=((0, "1"), (1, "Σ_4"))),
         F("x3", 4, 3, "holomorphic", "1/28 theta_e8|T₋(3)", normalization=z4,
-          display="1 + qΣ_6 + O(q²)"),
+          pins=((1, "Σ_6"),)),
         F("x4", 4, 4, "holomorphic", "1/73 theta_e8|T₋(4)", normalization=z4),
         E("a4", 4, 4, "θ(τ, 2z)", "holomorphic",
-          display="1 + qΣ_{8''} + O(q²)", builder=_b_a4),
+          pins=((0, "1"), (1, "Σ_{8''}")), builder=_b_a4),
         # --- index 2
         F("phi_-4_2", -4, 2, "weak",
           "theta_e8·theta_e8", "-1/9 E4 theta_e8|T₋(2)", over_delta=True,
-          display="2Σ_2 − Σ_4 − 240 + O(q)"),
+          pins=((0, "2Σ_2 − Σ_4 − 240"),)),
         F("phi_-2_2", -2, 2, "weak", "3 heat(phi_-4_2)",
-          display="Σ_2 + Σ_4 − 480 + O(q)"),
+          pins=((0, "Σ_2 + Σ_4 − 480"),)),
         F("phi_0_2", 0, 2, "weak", "1/2 E4 phi_-4_2", "-1 heat(phi_-2_2)",
-          display="Σ_2 + 120 + O(q)"),
+          pins=((0, "Σ_2 + 120"),)),
         F("b2", 6, 2, "holomorphic", "1/360 E6 phi_0_2",
-          "-1/1080 E4 E6 phi_-4_2", "-1/1080 E4^2 phi_-2_2", normalization=z6),
-        F("u12_2", 12, 2, "cusp", "Δ phi_0_2",
-          display="q(Σ_2 + 120) + O(q²)"),
+          "-1/1080 E4 E6 phi_-4_2", "-1/1080 E4^2 phi_-2_2", normalization=z6,
+          pins=((0, "1"), (1, "−(8/5)Σ_2 − (3/5)Σ_4 + 24"),
+                (2, "−(32/5)Σ_2 − (72/5)Σ_4 − (224/5)Σ_6 + Σ_{8''} − "
+                    "(24/5)Σ_{8'} + 24"))),
+        F("u12_2", 12, 2, "cusp", "Δ phi_0_2", pins=((1, "Σ_2 + 120"),)),
         F("v14_2", 14, 2, "cusp", "1/3 E6 Δ phi_-4_2", "1/3 E4 Δ phi_-2_2",
-          display="q(Σ_2 − 240) + O(q²)"),
+          pins=((1, "Σ_2 − 240"),)),
         F("w16_2", 16, 2, "cusp", "1/3 E4^2 Δ phi_-4_2", "1/3 E6 Δ phi_-2_2",
-          display="q(Σ_2 − 240) + O(q²)"),
+          pins=((1, "Σ_2 − 240"),)),
         # --- index 3
         F("b_-2_3", -2, 3, "weak",
           "-5 theta_e8·b2", "5/28 E6 theta_e8|T₋(3)", over_delta=True,
-          display="3Σ_2 + 3Σ_4 + 5Σ_6 − 2640 + O(q)"),
+          pins=((0, "3Σ_2 + 3Σ_4 + 5Σ_6 − 2640"),)),
         F("phi_-4_3", -4, 3, "weak",
           "theta_e8·x2", "-1/28 E4 theta_e8|T₋(3)", over_delta=True,
-          display="Σ_2 + Σ_4 − Σ_6 − 240 + O(q)"),
+          pins=((0, "Σ_2 + Σ_4 − Σ_6 − 240"),)),
         F("a0_3", 0, 3, "weak", "theta_e8·phi_-4_2",
-          display="2Σ_2 − Σ_4 − 240 + O(q)"),
+          pins=((0, "2Σ_2 − Σ_4 − 240"),)),
         F("phi_-2_3", -2, 3, "weak", "3 heat(phi_-4_3)",
-          display="Σ_2 + Σ_6 − 480 + O(q)"),
+          pins=((0, "Σ_2 + Σ_6 − 480"),)),
         F("phi_0_3", 0, 3, "weak",
           "3/8 a0_3", "3/8 E4 phi_-4_3", "-3/4 heat(phi_-2_3)",
-          display="Σ_2 + O(q)"),
+          pins=((0, "Σ_2"),)),
         F("phi_-8_3", -8, 3, "weak",
-          "E4^2 phi_-4_3", "6 E6 phi_-2_3", "-2 E4 a0_3", "-1 E6 b_-2_3",
-          over_delta=True, lead="Σ_{8'}",
-          display="Σ_{8'} − 4Σ_6 + 6Σ_4 − 4Σ_2 + 240 + O(q)"),
+          "1/432 E4^2 phi_-4_3", "1/72 E6 phi_-2_3", "-1/216 E4 a0_3",
+          "-1/432 E6 b_-2_3", over_delta=True,
+          normalization="q^0 coefficient of Σ_{8'} is 1",
+          pins=((0, "−4Σ_2 + 6Σ_4 − 4Σ_6 + Σ_{8'} + 240"),)),
         F("phi_-6_3", -6, 3, "weak", "-3 heat(phi_-8_3)",
-          display="Σ_{8'} − 6Σ_4 + 8Σ_2 − 720 + O(q)"),
-        E("b3", 6, 3, "unique holomorphic weight-6 index-3 form", "holomorphic",
-          normalization=z6, builder=_b_b3),
+          pins=((0, "8Σ_2 − 6Σ_4 + Σ_{8'} − 720"),)),
+        F("b3", 6, 3, "holomorphic",
+          "1/7680 E4^2 E6 phi_-8_3", "1/15360 E4^3 phi_-6_3",
+          "-1/5120 E6^2 phi_-6_3", "-1/640 E4 E6 phi_-4_3",
+          "-1/960 E4^2 phi_-2_3", "1/240 E6 phi_0_3", normalization=z6,
+          pins=((1, "−(9/20)Σ_2 − (27/20)Σ_4 − (7/20)Σ_6 + 12"),)),
         F("u10_3", 10, 3, "cusp",
           "-35/54 E6 x3", "-50/27 E4 b3", "5/2 b2·theta_e8",
-          display="q(Σ_4 − (2/3)Σ_2 − 80) + O(q²)"),
+          pins=((1, "−(2/3)Σ_2 + Σ_4 − 80"),)),
         F("u12_3", 12, 3, "cusp",
           "E4 x2·theta_e8", "-1 theta_e8·theta_e8·theta_e8",
-          display="q(Σ_4 − 2Σ_2 + 240) + O(q²)"),
-        F("v12_3", 12, 3, "cusp", "Δ phi_0_3", display="qΣ_2 + O(q²)"),
+          pins=((1, "−2Σ_2 + Σ_4 + 240"),)),
+        F("v12_3", 12, 3, "cusp", "Δ phi_0_3", pins=((1, "Σ_2"),)),
         F("u14_3", 14, 3, "cusp", "E4 Δ phi_-2_3", "E6 Δ phi_-4_3",
-          display="q(Σ_4 + 2Σ_2 − 720) + O(q²)"),
-        F("u16_3", 16, 3, "cusp", "Δ^2 phi_-8_3"),
+          pins=((1, "2Σ_2 + Σ_4 − 720"),)),
+        F("u16_3", 16, 3, "cusp", "Δ^2 phi_-8_3", pins=((1, "0"),)),
         # --- index 4
         E("phi_-16_4", -16, 4, "theta-quotient projection", "weak",
           normalization="q^0 coefficient of Σ_{16'} is 1",
-          display="Σ_{16'} − 8Σ_{14'} + 28Σ_{12} − 56Σ_{10} + 14Σ_{8''} + "
-                  "56Σ_{8'} − 56Σ_6 + 28Σ_4 − 8Σ_2 + 240 + O(q)",
+          pins=((0, "−8Σ_2 + 28Σ_4 − 56Σ_6 + 14Σ_{8''} + 56Σ_{8'} − "
+                    "56Σ_{10} + 28Σ_{12} − 8Σ_{14'} + Σ_{16'} + 240"),),
           builder=build_phi16_4),
-        F("phi_-14_4", -14, 4, "weak", "-3 heat(phi_-16_4)"),
+        F("phi_-14_4", -14, 4, "weak", "-3 heat(phi_-16_4)",
+          pins=((0, "34Σ_2 − 98Σ_4 + 154Σ_6 − 28Σ_{8''} − 112Σ_{8'} + "
+                    "70Σ_{10} − 14Σ_{12} − 2Σ_{14'} + Σ_{16'} − 1200"),)),
         F("phi_-12_4", -12, 4, "weak",
-          "-2/7 heat(phi_-14_4)", "-1/7 E4 phi_-16_4"),
+          "-2/7 heat(phi_-14_4)", "-1/7 E4 phi_-16_4",
+          pins=((0, "−11Σ_2 + 24Σ_4 − 25Σ_6 + 2Σ_{8''} + 8Σ_{8'} + "
+                    "3Σ_{10} − 4Σ_{12} + Σ_{14'} + 480"),)),
         F("phi_-10_4", -10, 4, "weak",
-          "-4/9 heat(phi_-12_4)", "-5/162 E4 phi_-14_4", "5/162 E6 phi_-16_4"),
+          "-4/9 heat(phi_-12_4)", "-5/162 E4 phi_-14_4", "5/162 E6 phi_-16_4",
+          pins=((0, "4Σ_2 − 5Σ_4 + Σ_{8''} + 4Σ_{8'} − 4Σ_{10} + Σ_{12} "
+                    "− 240"),)),
         F("phi_-8_4", -8, 4, "weak",
           "-3/5 heat(phi_-10_4)", "-1/15 E4 phi_-12_4", "1/90 E6 phi_-14_4",
-          "-1/90 E4^2 phi_-16_4"),
+          "-1/90 E4^2 phi_-16_4",
+          pins=((0, "−Σ_2 − Σ_4 + 4Σ_6 − (7/10)Σ_{8''} − (14/5)Σ_{8'} + "
+                    "Σ_{10} + 120"),)),
         F("phi_-6_4", -6, 4, "weak",
           "-1/2 E4 phi_-10_4", "1/6 E6 phi_-12_4", "-1/36 E4^2 phi_-14_4",
-          "1/36 E4 E6 phi_-16_4", "-4 heat(phi_-8_4)"),
+          "1/36 E4 E6 phi_-16_4", "-4 heat(phi_-8_4)",
+          pins=((0, "−2Σ_2 + 12Σ_4 − 14Σ_6 + Σ_{8''} + 4Σ_{8'} − 240"),)),
         F("phi_-4_4", -4, 4, "weak",
           "-10/81 E4 phi_-8_4", "5/81 E6 phi_-10_4", "5/1458 E4 E6 phi_-14_4",
           "-5/1458 E4^3 phi_-16_4", "-5/243 E4^2 phi_-12_4",
           "-2/9 heat(phi_-6_4)",
-          display="Σ_6 − 2Σ_4 + Σ_2 + O(q)"),
+          pins=((0, "Σ_2 − 2Σ_4 + Σ_6"),)),
         F("phi_-2_4", -2, 4, "weak",
           "-5/9 E6 phi_-8_4", "5/18 E4^2 phi_-10_4", "5/324 E4^3 phi_-14_4",
           "-5/324 E4^2 E6 phi_-16_4", "-5/54 E4 E6 phi_-12_4",
           "1/6 E4 phi_-6_4", "12 heat(phi_-4_4)",
-          display="−7Σ_4 + 8Σ_2 − 240 + O(q)"),
+          pins=((0, "8Σ_2 − 7Σ_4 − 240"),)),
         F("phi_0_4", 0, 4, "weak", "heat(phi_-2_4)",
-          display="2Σ_2 − 120 + O(q)"),
+          pins=((0, "2Σ_2 − 120"),)),
         F("psi_-8_4", -8, 4, "weak",
           "1/72 theta_e8|T₋(4)", "-73/72 a4", over_delta=True,
-          display="Σ_{8'} − Σ_{8''} + O(q)"),
-        F("b4", 6, 4, "holomorphic", "1/33 b2|T₋(2)", "2/55 Δ phi_-6_4"),
+          pins=((0, "−Σ_{8''} + Σ_{8'}"),)),
+        F("b4", 6, 4, "holomorphic", "1/33 b2|T₋(2)", "2/55 Δ phi_-6_4",
+          pins=((1, "−(4/15)Σ_2 − (28/15)Σ_6 + (1/15)Σ_{8''} − 8"),)),
         F("c8_4", 8, 4, "holomorphic",
           "1/54 E4^3 Δ phi_-16_4", "-1/54 E4 E6 Δ phi_-14_4",
           "1/9 E4^2 Δ phi_-12_4", "-1/3 E6 Δ phi_-10_4", "2/3 E4 Δ phi_-8_4"),
@@ -526,15 +500,18 @@ def _entries() -> list[RegistryEntry]:
           "-5/324 E4^2 E6 Δ phi_-16_4", "5/324 E4^3 Δ phi_-14_4",
           "-5/54 E4 E6 Δ phi_-12_4", "5/18 E4^2 Δ phi_-10_4",
           "-5/9 E6 Δ phi_-8_4", "1/6 E4 Δ phi_-6_4",
-          cancel="Δ^2 phi_-14_4"),
+          "-32/3 Δ^2 phi_-14_4", normalization=star),
         F("u12_4", 12, 4, "cusp",
           "-5/324 E4 E6^2 Δ phi_-16_4", "5/324 E4^2 E6 Δ phi_-14_4",
           "-5/54 E6^2 Δ phi_-12_4", "5/18 E4 E6 Δ phi_-10_4",
           "-5/9 E4^2 Δ phi_-8_4", "1/6 E6 Δ phi_-6_4",
-          cancel="E4 Δ^2 phi_-16_4"),
-        F("cusp_8_4", 8, 4, "cusp", "Δ phi_-4_4", cancel="Δ^2 phi_-16_4"),
-        F("cusp_10_4", 10, 4, "cusp", "Δ phi_-2_4", cancel="Δ^2 phi_-14_4"),
-        F("cusp_12_4", 12, 4, "cusp", "Δ phi_0_4", cancel="E4 Δ^2 phi_-16_4"),
+          "-32/3 E4 Δ^2 phi_-16_4", normalization=star),
+        F("cusp_8_4", 8, 4, "cusp", "Δ phi_-4_4", "32/9 Δ^2 phi_-16_4",
+          normalization=star),
+        F("cusp_10_4", 10, 4, "cusp", "Δ phi_-2_4", "-224/9 Δ^2 phi_-14_4",
+          normalization=star),
+        F("cusp_12_4", 12, 4, "cusp", "Δ phi_0_4", "112/9 E4 Δ^2 phi_-16_4",
+          normalization=star),
         # --- declared, not constructible at this scope
         E("x5", 4, 5, "declared only", "holomorphic"),
         E("x6", 4, 6, "declared only", "holomorphic"),
@@ -544,12 +521,13 @@ def _entries() -> list[RegistryEntry]:
 
 
 # Other names of catalog forms; `build` resolves them before its cache, so an
-# alias and its target share one cached object.
+# alias and its target share one cached object. The pins stay on the target.
 _ALIASES = {"x1": "theta_e8", "a1": "theta_e8", "a2": "x2", "a3": "x3"}
 
 REGISTRY: dict[str, RegistryEntry] = {e.name: e for e in _entries()}
 REGISTRY.update(
-    (alias, replace(REGISTRY[target], name=alias, recipe=f"alias of {target}"))
+    (alias, replace(REGISTRY[target], name=alias, recipe=f"alias of {target}",
+                    pins=()))
     for alias, target in _ALIASES.items()
 )
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification suite found a failure, 2 usage or
 resource errors (unknown form, insufficient order, budget exceeded, a
-request the catalog cannot serve), 3 a failed certification
+request the catalog cannot serve, stdout closed before the output was
+written), 3 a failed certification
 (CertificationError: a result the library checks on every call did not
 hold) or any other internal RuntimeError.
 """
@@ -12,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from functools import cache
 
 from .catalog import (
     REGISTRY,
@@ -163,92 +164,30 @@ def _cmd_solve_cascade(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites: each returns a list of (check name, ok, detail)
 
-_C = Fraction
-
-
-def _check_displays(suite, expectations) -> list[tuple[str, bool, str]]:
+def _check_pins(t: int) -> list[tuple[str, bool, str]]:
+    """Check every registry pin of the index-t forms."""
     out = []
-    for name, n, expected in expectations:
-        form = build(name)
-        got = form.term(n).display_map()
-        want = {lab: _C(c) for lab, c in expected.items()}
-        ok = got == want
-        detail = "" if ok else f"got {form.term(n).display_str()!r}"
-        out.append((f"{suite}: {name} q^{n}", ok, detail))
+    for name, entry in REGISTRY.items():
+        if entry.index != t:
+            continue
+        for n, want in entry.pins:
+            got = build(name).term(n).display_str()
+            ok = got == want
+            out.append((f"index{t}: {name} q^{n}", ok,
+                        "" if ok else f"got {got!r}"))
     return out
 
 
-_INDEX2_DISPLAYS = [
-    ("phi_-4_2", 0, {"Σ_2": 2, "Σ_4": -1, None: -240}),
-    ("phi_-2_2", 0, {"Σ_2": 1, "Σ_4": 1, None: -480}),
-    ("phi_0_2", 0, {"Σ_2": 1, None: 120}),
-    ("x2", 0, {None: 1}),
-    ("x2", 1, {"Σ_4": 1}),
-    ("b2", 0, {None: 1}),
-    ("b2", 1, {"Σ_2": _C(-8, 5), "Σ_4": _C(-3, 5), None: 24}),
-    ("b2", 2, {"Σ_{8''}": 1, "Σ_{8'}": _C(-24, 5), "Σ_6": _C(-224, 5),
-               "Σ_4": _C(-72, 5), "Σ_2": _C(-32, 5), None: 24}),
-    ("u12_2", 1, {"Σ_2": 1, None: 120}),
-    ("v14_2", 1, {"Σ_2": 1, None: -240}),
-    ("w16_2", 1, {"Σ_2": 1, None: -240}),
-]
-
-_INDEX3_DISPLAYS = [
-    ("b_-2_3", 0, {"Σ_2": 3, "Σ_4": 3, "Σ_6": 5, None: -2640}),
-    ("phi_-4_3", 0, {"Σ_2": 1, "Σ_4": 1, "Σ_6": -1, None: -240}),
-    ("a0_3", 0, {"Σ_2": 2, "Σ_4": -1, None: -240}),
-    ("phi_-2_3", 0, {"Σ_2": 1, "Σ_6": 1, None: -480}),
-    ("phi_0_3", 0, {"Σ_2": 1}),
-    ("phi_-8_3", 0, {"Σ_{8'}": 1, "Σ_6": -4, "Σ_4": 6, "Σ_2": -4, None: 240}),
-    ("phi_-6_3", 0, {"Σ_{8'}": 1, "Σ_4": -6, "Σ_2": 8, None: -720}),
-    ("x3", 1, {"Σ_6": 1}),
-    ("b3", 1, {"Σ_6": _C(-7, 20), "Σ_4": _C(-27, 20), "Σ_2": _C(-9, 20),
-               None: 12}),
-    ("u10_3", 1, {"Σ_4": 1, "Σ_2": _C(-2, 3), None: -80}),
-    ("u12_3", 1, {"Σ_4": 1, "Σ_2": -2, None: 240}),
-    ("v12_3", 1, {"Σ_2": 1}),
-    ("u14_3", 1, {"Σ_4": 1, "Σ_2": 2, None: -720}),
-    ("u16_3", 1, {}),
-]
-
-_INDEX4_DISPLAYS = [
-    ("phi_-16_4", 0, {"Σ_{16'}": 1, "Σ_{14'}": -8, "Σ_{12}": 28,
-                      "Σ_{10}": -56, "Σ_{8''}": 14, "Σ_{8'}": 56,
-                      "Σ_6": -56, "Σ_4": 28, "Σ_2": -8, None: 240}),
-    ("phi_-14_4", 0, {"Σ_{16'}": 1, "Σ_{14'}": -2, "Σ_{12}": -14,
-                      "Σ_{10}": 70, "Σ_{8''}": -28, "Σ_{8'}": -112,
-                      "Σ_6": 154, "Σ_4": -98, "Σ_2": 34, None: -1200}),
-    ("phi_-12_4", 0, {"Σ_{14'}": 1, "Σ_{12}": -4, "Σ_{10}": 3,
-                      "Σ_{8''}": 2, "Σ_{8'}": 8, "Σ_6": -25, "Σ_4": 24,
-                      "Σ_2": -11, None: 480}),
-    ("phi_-10_4", 0, {"Σ_{12}": 1, "Σ_{10}": -4, "Σ_{8''}": 1, "Σ_{8'}": 4,
-                      "Σ_4": -5, "Σ_2": 4, None: -240}),
-    ("phi_-8_4", 0, {"Σ_{10}": 1, "Σ_{8''}": _C(-7, 10),
-                     "Σ_{8'}": _C(-14, 5), "Σ_6": 4, "Σ_4": -1, "Σ_2": -1,
-                     None: 120}),
-    ("phi_-6_4", 0, {"Σ_{8''}": 1, "Σ_{8'}": 4, "Σ_6": -14, "Σ_4": 12,
-                     "Σ_2": -2, None: -240}),
-    ("phi_-4_4", 0, {"Σ_6": 1, "Σ_4": -2, "Σ_2": 1}),
-    ("phi_-2_4", 0, {"Σ_4": -7, "Σ_2": 8, None: -240}),
-    ("phi_0_4", 0, {"Σ_2": 2, None: -120}),
-    ("psi_-8_4", 0, {"Σ_{8'}": 1, "Σ_{8''}": -1}),
-    ("a4", 0, {None: 1}),
-    ("a4", 1, {"Σ_{8''}": 1}),
-    ("b4", 1, {"Σ_{8''}": _C(1, 15), "Σ_6": _C(-28, 15), "Σ_2": _C(-4, 15),
-               None: -8}),
-]
-
-
 def _suite_index2():
-    return _check_displays("index2", _INDEX2_DISPLAYS)
+    return _check_pins(2)
 
 
 def _suite_index3():
-    return _check_displays("index3", _INDEX3_DISPLAYS)
+    return _check_pins(3)
 
 
 def _suite_index4():
-    out = _check_displays("index4", _INDEX4_DISPLAYS)
+    out = _check_pins(4)
     for name in ("u10_4", "u12_4", "cusp_8_4", "cusp_10_4", "cusp_12_4"):
         f = build(name)
         m16 = DominantWeight.from_fw((2, 0, 0, 0, 0, 0, 0, 0))
@@ -434,6 +373,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="e8jac",
@@ -508,7 +448,16 @@ def main(argv=None) -> int:
     if args.budget is not None:
         os.environ[BUDGET_ENV] = str(args.budget)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written",
+              file=sys.stderr)
+        return 2
     except (BudgetError, CatalogError, KeyError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -75,6 +75,20 @@ def test_registry_meta_json():
     assert meta["name"] == "phi_-4_2"
     assert meta["weight"] == -4
     assert meta["index"] == 2
+    assert meta["display"] == {"0": "2Σ_2 − Σ_4 − 240"}
+    assert list(REGISTRY["b2"].meta_json()["display"]) == ["0", "1", "2"]
+    # an alias carries no pins: they live on its target
+    assert REGISTRY["a2"].meta_json()["display"] == {}
+    assert json.loads(json.dumps(meta)) == meta
+
+
+def test_only_the_theta_seeds_are_function_builders():
+    seeds = {name: entry.builder for name, entry in REGISTRY.items()
+             if entry.buildable and not isinstance(entry.builder, Recipe)}
+    assert seeds.pop("phi_-16_4") is build_phi16_4
+    assert {name: b.__name__ for name, b in seeds.items()} == {
+        "theta_e8": "theta_e8", "x1": "theta_e8", "a1": "theta_e8",
+        "a4": "_b_a4"}
 
 
 def test_build_unknown_name():
@@ -125,11 +139,11 @@ def test_recipe_text_is_rendered_from_the_recipe():
         if isinstance(entry.builder, Recipe):
             assert entry.recipe == str(entry.builder), name
             rendered += 1
-    assert rendered == 38
+    assert rendered == 39
     assert REGISTRY["b4"].recipe == "(1/33)·b2|T₋(2) + (2/55)Δ·phi_-6_4"
     assert REGISTRY["phi_-4_2"].recipe == (
         "(theta_e8·theta_e8 − (1/9)E4·theta_e8|T₋(2)) / Δ")
-    assert REGISTRY["cusp_8_4"].recipe == "Δ·phi_-4_4 − *Δ²·phi_-16_4"
+    assert REGISTRY["cusp_8_4"].recipe == "Δ·phi_-4_4 + (32/9)Δ²·phi_-16_4"
 
 
 def test_term_parse():
@@ -152,8 +166,6 @@ def test_recipes_evaluate_like_operators():
 def test_recipe_terms_of_mixed_kind_are_a_certification_error():
     with pytest.raises(CertificationError, match="disagree"):
         parse_recipe("theta_e8", "phi_-4_2")(1)
-    with pytest.raises(CertificationError, match="disagree"):
-        parse_recipe("Δ phi_-4_4", cancel="Δ^2 phi_-4_2")(2)
 
 
 def test_build_contract_is_an_exception(monkeypatch):
@@ -171,10 +183,25 @@ def test_free_module_count_is_an_exception(monkeypatch):
         verify_free_module(1, 8, order=1)
 
 
-def test_starred_recipes_need_two_terms():
-    # the Σ_{16'} cancellation scale is read off the q^2 term
-    with pytest.raises(CatalogError):
-        build("u10_4", 1)
+_STARRED = ("u10_4", "u12_4", "cusp_8_4", "cusp_10_4", "cusp_12_4")
+
+
+@pytest.mark.parametrize("name", _STARRED)
+def test_starred_recipes_build_at_every_order(name):
+    # the cancelling term is a literal coefficient, so no order is too low
+    for n in (0, 1):
+        assert build(name, n) == build(name, 2).truncate(n)
+
+
+@pytest.mark.parametrize("name", _STARRED)
+def test_starred_literals_cancel_the_q2_sigma16(name):
+    m16 = DominantWeight.from_fw((2, 0, 0, 0, 0, 0, 0, 0))
+    for n in (2, 3):
+        assert build(name, n).term(2).coeff(m16) == 0
+
+
+def test_phi_8_3_literals_normalize_the_sigma8_lead():
+    assert _display_coeff(build("phi_-8_3").term(0), "Σ_{8'}") == 1
 
 
 def test_expected_classes_hold_for_index2():
@@ -259,6 +286,12 @@ def test_weight6_index3_solution():
     assert len(sols) == 1
     assert sols[0] == build("b3", 2)
     assert sols[0].term(0).display_map() == {None: Fraction(1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_b3_recipe_is_the_unique_weight6_index3_form(n):
+    # the linear solver is the oracle for the literal recipe
+    assert holomorphic_subspace(6, 3, n) == [build("b3", n)]
 
 
 def test_weight4_index4_two_solutions():

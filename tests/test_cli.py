@@ -2,12 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from e8jac import REGISTRY, JacobiQExpansion, build, theta_e8
-from e8jac.cli import main, _SUITES
+from e8jac.cli import main, _SUITES, _parser
 from e8jac.e8 import BUDGET_ENV
 
 
@@ -210,6 +212,26 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert "FAIL forced failure — injected" in out
 
 
+def test_index_suites_check_every_pin_once():
+    pins = sorted(f"index{e.index}: {name} q^{n}"
+                  for name, e in REGISTRY.items() for n, _ in e.pins)
+    checks = [(nm, ok) for suite in ("index2", "index3", "index4")
+              for nm, ok, _ in _SUITES[suite]()]
+    assert all(ok for _, ok in checks)
+    names = sorted(nm for nm, _ in checks if not nm.endswith(" cancelled"))
+    assert names == pins
+    assert len(pins) == 38 and len(checks) == 43
+
+
+def test_index_suite_reports_a_wrong_pin(capsys, monkeypatch):
+    entry = REGISTRY["phi_0_2"]
+    monkeypatch.setitem(REGISTRY, "phi_0_2",
+                        replace(entry, pins=((0, "Σ_2 + 121"),)))
+    code, out, _ = run(capsys, "verify", "--suite", "index2")
+    assert code == 1
+    assert "FAIL index2: phi_0_2 q^0 — got 'Σ_2 + 120'" in out
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
@@ -246,6 +268,31 @@ def test_budget_flag_does_not_leak_into_later_calls(capsys, monkeypatch):
     assert BUDGET_ENV not in os.environ
     code, _, err = run(capsys, "expand", "--form", "phi_-4_2", "--order", "1")
     assert code == 0, err
+
+
+def test_parser_is_built_once():
+    assert _parser() is _parser()
+
+
+def test_closed_stdout_is_one_error_line():
+    # the read end is closed before the child starts, so its first write
+    # to stdout meets a broken pipe
+    src = os.path.dirname(os.path.dirname(main.__code__.co_filename))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(BUDGET_ENV, None)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "e8jac.cli", "rank", "--max", "3"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_missing_subcommand_is_usage_error(capsys):
