@@ -23,11 +23,15 @@ from math import isqrt
 import numpy as np
 
 from .e8 import (
+    BudgetError,
     CertificationError,
     DominantWeight,
     _batch_reduce,
+    _dn_canonical,
     _pack,
+    _sum_by_key,
     _unpack,
+    element_budget,
     max_coset_min_norm,
     max_pairing,
     orbit_size,
@@ -92,136 +96,102 @@ def _display_coeff(elem: InvariantElement, label: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # The theta-quotient seed for index 4.
 #
-# Each factor pair theta(u+v)^2 theta(u-v)^2 is expanded from the classical
-# odd theta sum: writing theta(w)^2 = -sum_A (-1)^A S_A(q) xi^A with
-# S_A = sum over delta = A+1 mod 2 of q^((A^2+delta^2)/4), the pair block is
-# sum_{A,B} (-1)^(A+B) S_A S_B zeta_u^(A+B) zeta_v^(A-B). q-exponents are
-# tracked doubled (odd integers per block, even totals across four blocks).
+# The sixteen theta factors pair up as theta(u+v)^2 theta(u-v)^2 over four
+# coordinate pairs (u, v), and each square is the classical odd theta sum
+#     theta(w)^2 = -sum_A (-1)^A S_A(q) xi^A,
+#     S_A = sum over delta = A+1 mod 2 of q^((A^2+delta^2)/4).
+# So the product is the eight-fold power of one one-variable table, and the
+# exponent row (A_1, ..., A_8) of xi = zeta_u zeta_v, zeta_u/zeta_v per pair
+# is the E8 row 2(A_1+A_2, A_1-A_2, A_3+A_4, ...) in doubled coordinates.
+# q-exponents are kept times 4, so they are integers. A table maps such an
+# exponent to its keys (a byte per A, e8._pack's layout) and int64 values.
+
+# int16 holds 2(A_1 ± A_2) for any byte-range A, at a quarter of int64's
+# memory on the raw rows of the top q-power.
+_FRAME = np.kron(np.eye(4, dtype=np.int16), np.array([[2, 2], [2, -2]], dtype=np.int16))
+_NO_TERMS = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
 
 
-def _theta_pair_block(max_t2: int) -> dict[tuple[int, tuple[int, int]], int]:
-    out: dict[tuple[int, tuple[int, int]], int] = {}
-    r = isqrt(2 * max_t2)
-    for A in range(-r, r + 1):
-        for B in range(-r, r + 1):
-            base = A * A + B * B
-            if base > 2 * max_t2:
-                continue
-            sign = -1 if (A + B) & 1 else 1
-            eu, ev = A + B, A - B
-            for dd in range(-r - 1, r + 2):
-                if (dd & 1) == (A & 1):
-                    continue
-                base2 = base + dd * dd
-                if base2 > 2 * max_t2:
-                    continue
-                for ee in range(-r - 1, r + 2):
-                    if (ee & 1) == (B & 1):
-                        continue
-                    ss = base2 + ee * ee
-                    if ss > 2 * max_t2:
-                        continue
-                    key = (ss // 2, (eu, ev))
-                    out[key] = out.get(key, 0) + sign
-    return {k: v for k, v in out.items() if v}
+def _theta_square(cap: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """theta(w)^2 as a table, the terms of exponent at most cap."""
+    seed: dict[int, dict[int, int]] = {}
+    r = isqrt(cap)
+    for a in range(-r, r + 1):
+        for d in range(-r, r + 1):
+            e = a * a + d * d
+            if (a + d) % 2 and e <= cap:
+                row = seed.setdefault(e, {})
+                row[a + 128] = row.get(a + 128, 0) + (1 if a % 2 else -1)
+    return {
+        e: (np.array(list(row), dtype=np.uint64),
+            np.array(list(row.values()), dtype=np.int64))
+        for e, row in seed.items()
+    }
 
 
-_CHUNK = 1 << 16  # raw rows per dominant-reduction call in build_phi16_4
+def _check_int64(vals: np.ndarray) -> None:
+    """Raise unless every sum of products of two entries of vals fits int64.
 
-
-def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
-    """Sum vals over equal keys: the sorted distinct keys with nonzero sums."""
-    if not len(keys):
-        return keys, vals
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    keys, sums = keys[start], np.add.reduceat(vals, start)
-    keep = sums != 0
-    return keys[keep], sums[keep]
-
-
-def _check_int64(va: np.ndarray, vb: np.ndarray) -> None:
-    """Raise unless every sum of products va[i]·vb[j] fits int64.
-
-    Any such sum is at most (Σ|va|)·(Σ|vb|) in absolute value.
+    Any such sum is at most (Σ|vals|)² in absolute value.
     """
-    mass = [sum(map(abs, v.tolist())) for v in (va, vb)]
-    if mass[0] * mass[1] > np.iinfo(np.int64).max:
+    if sum(map(abs, vals.tolist())) ** 2 > np.iinfo(np.int64).max:
         raise CertificationError("theta product coefficients would overflow int64")
 
 
-def _half_table(max_t2: int, cap: int):
-    """Two pair blocks multiplied out: exponents, uint32 keys and values.
+def _fold(table, width: int, keep) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The square of a table at the exponents in keep: a product term's key
+    is its factors' keys concatenated, first factor high, width bits each.
 
-    A pair block's doubled (zeta_u, zeta_v) exponents get a 16-bit key in
-    e8._pack's byte layout (each doubled coordinate offset by 128, first
-    coordinate high), so the key of a concatenated row is the shifted
-    concatenation of the keys of its parts. Terms with doubled q-exponent
-    above cap are dropped.
+    Every coefficient of the square, and every sum of them within one
+    exponent, is certified to fit int64 before any product is taken.
     """
-    block = _theta_pair_block(max_t2)
-    t = np.array([k[0] for k in block], dtype=np.int64)
-    coords = np.array([k[1] for k in block], dtype=np.int64).reshape(-1, 2)
-    v = np.array(list(block.values()), dtype=np.int64)
-    if (coords.sum(axis=1) % 2).any():
-        raise CertificationError("raw exponent escaped the even-sum sublattice")
-    rows = 2 * coords + 128
-    key = ((rows[:, 0] << 8) | rows[:, 1]).astype(np.uint64)
-    _check_int64(v, v)
-    ht = (t[:, None] + t[None, :]).ravel()
-    hk = ((key[:, None] << 16) | key[None, :]).ravel()
-    hv = (v[:, None] * v[None, :]).ravel()
-    sel = ht <= cap
-    keys, vals = _sum_by_key((ht[sel].astype(np.uint64) << 32) | hk[sel], hv[sel])
-    return (keys >> 32).astype(np.int64), keys & 0xFFFFFFFF, vals
+    _check_int64(np.concatenate([v for _, v in table.values()]))
+    out = {}
+    for e in keep:
+        pairs = [(table[a], table[e - a]) for a in table if e - a in table]
+        out[e] = _sum_by_key(
+            np.concatenate([_NO_TERMS[0]] + [
+                ((k1[:, None] << width) | k2).ravel() for (k1, _), (k2, _) in pairs
+            ]),
+            np.concatenate([_NO_TERMS[1]] + [
+                np.outer(v1, v2).ravel() for (_, v1), (_, v2) in pairs
+            ]),
+        )
+    return out
 
 
 def build_phi16_4(order: int) -> JacobiQExpansion:
     """The weight -16 index 4 generator, from the 16-fold theta quotient.
 
-    Takes the exact 8-variable Fourier expansion of the product of the four
-    pair blocks, divides by Delta^2 (the sixteen q^(1/8) prefactors supply
-    exactly q^2), projects onto Weyl invariants by orbit-averaging the raw
-    coefficients, and normalizes the q^0 display coefficient of Σ_{16'} to 1.
+    Takes the exact 8-variable Fourier expansion of theta(w)^16, divides by
+    Delta^2 (the sixteen q^(1/8) prefactors supply exactly q^2), projects
+    onto Weyl invariants by orbit-averaging the raw coefficients, and
+    normalizes the q^0 display coefficient of Σ_{16'} to 1.
 
-    The expansion is held in int64 tables with one uint64 key per raw
-    8-coordinate row (e8._pack's layout). Per q-exponent the products of two
-    half tables (two blocks each) are summed by raw row, then dominant-reduced
-    in chunks of at most 65,536 rows and summed by dominant row, so the
-    working set beyond the raw table of one q-exponent is bounded by the
-    chunk.
+    The seed table is folded to two, four and, per q-power, eight factors.
+    Each q-power's raw rows are summed by W(D8)-canonical row first
+    (W(D8) lies in W(E8)), and only those rows are dominant-reduced.
     """
     if order < 0 or order > 3:
         raise ValueError("theta-quotient construction supports orders 0..3")
     n_num = order + 2
-    budget = 2 * n_num  # doubled q-exponent across all four blocks
-    # each block has doubled q-exponent >= 1, so the other half needs >= 2
-    ht, hk, hv = _half_table(budget - 3, budget - 2)
-    if (ht % 2).any():
+    # every factor has exponent >= 1 and the eight sum to at most 4 * n_num
+    two = _fold(_theta_square(4 * n_num - 7), 8, range(4 * n_num - 5))
+    four = _fold(two, 16, range(4 * n_num - 3))
+    # a factor's exponent A^2 + delta^2 is 1 mod 4, so four factors' is 0 mod 4
+    if any(e % 4 and len(k) for e, (k, _) in four.items()):
         raise CertificationError("odd doubled q-exponent in the theta product")
-    _check_int64(hv, hv)
 
-    half = {int(e): (hk[ht == e], hv[ht == e]) for e in np.unique(ht)}
     terms = []
     for n in range(n_num + 1):
-        pairs = [(half[a], half[2 * n - a]) for a in half if 2 * n - a in half]
-        keys, vals = _sum_by_key(
-            np.concatenate([hk[:0]] + [
-                ((k1[:, None] << 32) | k2).ravel() for (k1, _), (k2, _) in pairs
-            ]),
-            np.concatenate([hv[:0]] + [
-                np.outer(v1, v2).ravel() for (_, v1), (_, v2) in pairs
-            ]),
-        )
-        for lo in range(0, len(keys), _CHUNK):
-            chunk = slice(lo, lo + _CHUNK)
-            keys[chunk] = _pack(_batch_reduce(_unpack(keys[chunk])))
-        keys, vals = _sum_by_key(keys, vals)
-        elem: dict[DominantWeight, Fraction] = {}
-        for m, total in zip(DominantWeight._from_rows(_unpack(keys)), vals.tolist()):
-            elem[m] = Fraction(total, orbit_size(m))
-        terms.append(InvariantElement(elem))
+        keys, vals = _fold(four, 32, (4 * n,))[4 * n]
+        rows = _dn_canonical(_unpack(keys).astype(np.int16) @ _FRAME)
+        keys, vals = _sum_by_key(_pack(rows), vals)
+        keys, vals = _sum_by_key(_pack(_batch_reduce(_unpack(keys))), vals)
+        terms.append(InvariantElement({
+            m: Fraction(total, orbit_size(m))
+            for m, total in zip(DominantWeight._from_rows(_unpack(keys)), vals.tolist())
+        }))
 
     if not (terms[0].is_zero() and terms[1].is_zero()):
         raise CertificationError("prefactor power mismatch")
@@ -791,19 +761,20 @@ def verify_free_module(
 
 
 def rank_series(t_max: int) -> list[int]:
-    """Coefficients 0..t_max of 1/((1-x)(1-x²)²(1-x³)²(1-x⁴)²(1-x⁵)(1-x⁶))."""
+    """Coefficients 0..t_max of 1/((1-x)(1-x²)²(1-x³)²(1-x⁴)²(1-x⁵)(1-x⁶)),
+    by multiplying 1 by each 1/(1-x^d) in turn; the t_max + 1 coefficients
+    are bounded by the element budget."""
     if t_max < 0:
         raise ValueError("need a non-negative bound")
-    den = [0] * (t_max + 1)
-    den[0] = 1
-    for d, mult in ((1, 1), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1)):
-        for _ in range(mult):
-            for i in range(t_max, d - 1, -1):
-                den[i] -= den[i - d]
-    out = [0] * (t_max + 1)
-    out[0] = 1
-    for n in range(1, t_max + 1):
-        out[n] = -sum(den[j] * out[n - j] for j in range(1, n + 1))
+    limit = element_budget()
+    if t_max + 1 > limit:
+        raise BudgetError(
+            f"rank series of {t_max + 1} terms exceeds element budget {limit}"
+        )
+    out = [1] + [0] * t_max
+    for d in (1, 2, 2, 3, 3, 4, 4, 5, 6):
+        for i in range(d, t_max + 1):
+            out[i] += out[i - d]
     return out
 
 

@@ -24,7 +24,13 @@ stabilizer mask from the pairings of d with the simple roots
 packs each row into one uint64 key, a byte per doubled coordinate (see
 _pack), so every doubled coordinate must lie in [-128, 127]. A row beyond
 that, which needs norm >= 4096, raises BudgetError; the deepest path in the
-benchmark and the catalog reaches a doubled coordinate of 12.
+benchmark and the catalog reaches a doubled coordinate of 12. A weighted
+bin sums values over equal keys in one kernel, _sum_by_key.
+
+W(D_k), the signed permutations with an even number of sign changes, has
+one canonicalization step, _dn_canonical. It is the D7 half of batched
+dominant reduction, and on all eight coordinates (W(D8) lies in W(E8)) it
+bins the raw rows of the theta quotient before they are reduced.
 """
 from __future__ import annotations
 
@@ -273,6 +279,34 @@ def _unpack(keys: np.ndarray) -> np.ndarray:
     return keys.astype(">u8").view(np.uint8).reshape(-1, 8).astype(np.int64) - 128
 
 
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray):
+    """Sum vals over equal keys: the sorted distinct keys with nonzero sums."""
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    keys, sums = keys[start], np.add.reduceat(vals, start)
+    keep = sums != 0
+    return keys[keep], sums[keep]
+
+
+def _dn_canonical(x: np.ndarray) -> np.ndarray:
+    """The W(D_k)-canonical row of every row of an (n, k) integer array.
+
+    W(D_k) acts by signed permutations with an even number of sign changes,
+    so one representative per orbit is: absolute values sorted ascending,
+    with a minus on the smallest entry iff the sign parity is odd (a zero
+    absorbs odd parity for free).
+    """
+    out = np.abs(x)
+    odd = (x < 0).sum(axis=1) & 1
+    out.sort(axis=1)
+    flip = (odd == 1) & (out[:, 0] > 0)
+    out[flip, 0] = -out[flip, 0]
+    return out
+
+
 _SPINOR_D = np.array(_ROOTS_D[0], dtype=np.int64)
 # key(r - c·α_i) = key(r) - c·_ROOT_KEYS[i] (mod 2^64) while every byte of
 # both rows stays in range: the byte offsets cancel.
@@ -285,10 +319,9 @@ def _batch_reduce(arr: np.ndarray) -> np.ndarray:
     The simple roots split into the chain generating W(D7) — signed
     permutations of coordinates 1..7 with an even number of sign changes —
     and the single spinor-type root. A whole W(D7) canonicalization is one
-    vectorized step: sort absolute values ascending and put a minus on the
-    smallest entry iff the sign parity is odd (a zero absorbs odd parity
-    for free). Alternating that step with one spinor reflection wherever
-    its pairing is negative converges in a handful of passes, since the
+    vectorized step, _dn_canonical on the first seven coordinates.
+    Alternating that step with one spinor reflection wherever its pairing
+    is negative converges in a handful of passes, since the
     canonicalization maximizes the D7 height at fixed last coordinate and
     the reflection strictly increases the full height.
     """
@@ -296,12 +329,7 @@ def _batch_reduce(arr: np.ndarray) -> np.ndarray:
     active = np.arange(len(v))
     while active.size:
         block = v[active]
-        aa = np.abs(block[:, :7])
-        odd = (block[:, :7] < 0).sum(axis=1) & 1
-        aa.sort(axis=1)
-        flip = (odd == 1) & (aa[:, 0] > 0)
-        aa[flip, 0] = -aa[flip, 0]
-        block[:, :7] = aa
+        block[:, :7] = _dn_canonical(block[:, :7])
         coef = (block @ _SPINOR_D) // 4
         hit = coef < 0
         block[hit] -= coef[hit, None] * _SPINOR_D

@@ -25,6 +25,7 @@ from .e8 import (
     _pack,
     _parabolic_order,
     _stabilizer_mask,
+    _sum_by_key,
     _unpack,
     orbit_array,
     orbit_size,
@@ -354,9 +355,7 @@ def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElem
             "W_J-orbit weights disagree with the orbit size of the first factor"
         )
     shifted = rows[keep] + np.array(m2.d, dtype=np.int64)
-    keys, inverse = np.unique(_pack(_batch_reduce(shifted)), return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, inverse, weights)
+    keys, counts = _sum_by_key(_pack(_batch_reduce(shifted)), weights)
     size2 = orbit_size(m2)
     out = InvariantElement()
     for m, u in zip(DominantWeight._from_rows(_unpack(keys)), counts.tolist()):

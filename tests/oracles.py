@@ -18,7 +18,16 @@ function computes, and is used only by the tests:
 * ``delta_by_eta_product`` for ``qseries.delta`` (η²⁴ from the pentagonal
   series, where the library uses (E4³ − E6²)/1728);
 * ``max_pairing_by_orbit`` for ``e8.max_pairing`` (the maximum over every
-  closed shell orbit, not only the representatives).
+  closed shell orbit, not only the representatives);
+* ``_theta_pair_block`` for the seed of ``catalog.build_phi16_4`` (one
+  factor pair theta(u+v)^2 theta(u-v)^2 by four nested loops over the
+  theta exponents; the dict-fold oracle of ``tests/test_catalog.py``
+  builds on it);
+* ``rank_series_by_convolution`` for ``catalog.rank_series`` (expands the
+  denominator and divides by convolving with all of it);
+* ``inv_mul_by_membership`` for ``invring.inv_mul`` on two orbit sums
+  (counts, for each candidate dominant m, the a in orb(m1) with m - a in
+  orb(m2), with no dominant reduction).
 """
 from __future__ import annotations
 
@@ -39,6 +48,7 @@ from e8jac.e8 import (
     _batch_reduce,
     _pack,
     _unpack,
+    alcove,
     element_budget,
     orbit_array,
     orbit_size,
@@ -366,3 +376,83 @@ def max_pairing_by_orbit(m: DominantWeight, two_n: int) -> int:
         return 0
     md = np.array(m.d, dtype=np.int64)
     return max(int((orbit_array(rep) @ md).max()) // 4 for rep, _ in shell(two_n))
+
+
+def _theta_pair_block(max_t2: int) -> dict[tuple[int, tuple[int, int]], int]:
+    """theta(u+v)^2 theta(u-v)^2 as {(doubled q-exponent, (e_u, e_v)): value},
+    the terms of doubled q-exponent at most max_t2.
+
+    With theta(w)^2 = -sum_A (-1)^A S_A(q) xi^A and S_A the sum over
+    delta = A+1 mod 2 of q^((A^2+delta^2)/4), the pair block is
+    sum_{A,B} (-1)^(A+B) S_A S_B zeta_u^(A+B) zeta_v^(A-B).
+    """
+    out: dict[tuple[int, tuple[int, int]], int] = {}
+    r = isqrt(2 * max_t2)
+    for A in range(-r, r + 1):
+        for B in range(-r, r + 1):
+            base = A * A + B * B
+            if base > 2 * max_t2:
+                continue
+            sign = -1 if (A + B) & 1 else 1
+            eu, ev = A + B, A - B
+            for dd in range(-r - 1, r + 2):
+                if (dd & 1) == (A & 1):
+                    continue
+                base2 = base + dd * dd
+                if base2 > 2 * max_t2:
+                    continue
+                for ee in range(-r - 1, r + 2):
+                    if (ee & 1) == (B & 1):
+                        continue
+                    ss = base2 + ee * ee
+                    if ss > 2 * max_t2:
+                        continue
+                    key = (ss // 2, (eu, ev))
+                    out[key] = out.get(key, 0) + sign
+    return {k: v for k, v in out.items() if v}
+
+
+def rank_series_by_convolution(t_max: int) -> list[int]:
+    """Coefficients 0..t_max of 1/((1-x)(1-x²)²(1-x³)²(1-x⁴)²(1-x⁵)(1-x⁶)):
+    expand the denominator to degree t_max, then solve den·out = 1 term by
+    term against the whole expansion. Quadratic in t_max."""
+    den = [0] * (t_max + 1)
+    den[0] = 1
+    for d, mult in ((1, 1), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1)):
+        for _ in range(mult):
+            for i in range(t_max, d - 1, -1):
+                den[i] -= den[i - d]
+    out = [0] * (t_max + 1)
+    out[0] = 1
+    for n in range(1, t_max + 1):
+        out[n] = -sum(den[j] * out[n - j] for j in range(1, n + 1))
+    return out
+
+
+def inv_mul_by_membership(
+    m1: DominantWeight, m2: DominantWeight
+) -> dict[DominantWeight, Fraction]:
+    """orb(m1)·orb(m2) in orbit sums: the coefficient of orb(m) is the number
+    of a in orb(m1) with m - a in orb(m2), for the dominant m itself.
+
+    Every dominant m = reduce(a + b) has (m, θ) <= (m1, θ) + (m2, θ) and
+    |m| <= |m1| + |m2|, so the candidates are the alcove points under both
+    bounds. Each membership test is a searchsorted into the packed keys of
+    orb(m2), which are sorted since the orbit array is lex-sorted.
+    """
+    if orbit_size(m1) > orbit_size(m2):
+        m1, m2 = m2, m1
+    a = orbit_array(m1)
+    keys2 = _pack(orbit_array(m2))
+    n1, n2 = (sum(x * x for x in m.d) for m in (m1, m2))  # 4|m|^2
+    out = {}
+    for md in alcove(pairing(m1, HIGHEST_ROOT) + pairing(m2, HIGHEST_ROOT)):
+        slack = int(md @ md) - n1 - n2  # |m| <= |m1| + |m2| in integers
+        if slack > 0 and slack * slack > 4 * n1 * n2:
+            continue
+        cand = _pack(md - a)
+        pos = np.minimum(np.searchsorted(keys2, cand), len(keys2) - 1)
+        count = int((keys2[pos] == cand).sum())
+        if count:
+            out[DominantWeight(E8Vector(md))] = Fraction(count)
+    return out

@@ -36,16 +36,16 @@ from e8jac.catalog import (
     _display_coeff,
     _hol_rules,
     _mf,
-    _theta_pair_block,
     build_phi16_4,
     default_order,
     parse_recipe,
     weak_generator_names,
 )
-from e8jac.e8 import E8Vector, _batch_reduce, orbit_size
+from e8jac.e8 import BUDGET_ENV, BudgetError, E8Vector, _batch_reduce, orbit_size
 from e8jac.invring import SIGMA_LABELS, InvariantElement
 from e8jac.jacobi import JacobiQExpansion, heat, jf_div_modular, jf_scale
 from e8jac.qseries import delta, eisenstein
+from oracles import _theta_pair_block, rank_series_by_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +345,16 @@ def test_rank_series():
     assert rank_series(6) == [1, 1, 3, 5, 10, 15, 27]
     assert rank_series(0) == [1]
     assert rank_series(14)[14] == 505
+    assert rank_series(300) == rank_series_by_convolution(300)
     with pytest.raises(ValueError):
         rank_series(-1)
+
+
+def test_rank_series_is_bounded_by_the_budget(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "100")
+    assert len(rank_series(99)) == 100
+    with pytest.raises(BudgetError):
+        rank_series(100)
 
 
 def test_dimension_bounds_low_range():
@@ -527,8 +535,8 @@ def test_catalog_pin_order_4(name):
 
 
 # ---------------------------------------------------------------------------
-# The theta quotient phi_-16_4. Oracle: the dict fold of the pair blocks the
-# int64 key tables replaced, binned by dominant row through a tuple dict.
+# The theta quotient phi_-16_4. Oracle: a dict fold of four pair blocks
+# (tests/oracles.py), binned by dominant row through a tuple dict.
 
 
 def _fold(d1, d2, min_rest, budget):
@@ -547,12 +555,18 @@ def _fold(d1, d2, min_rest, budget):
     return out
 
 
-def _phi16_4_by_dict_fold(order):
-    n_num = order + 2
-    budget = 2 * n_num
+def _raw_by_dict_fold(order):
+    """{(doubled q-exponent, raw row of (e_u, e_v) per pair): coefficient}
+    of the numerator of the theta quotient at the given order."""
+    budget = 2 * (order + 2)
     block = _theta_pair_block(budget - 3)
     half = _fold(block, block, 2, budget)
-    full = _fold(half, half, 0, budget)
+    return _fold(half, half, 0, budget)
+
+
+def _phi16_4_by_dict_fold(order):
+    n_num = order + 2
+    full = _raw_by_dict_fold(order)
     terms = []
     for n in range(n_num + 1):
         raw = [(c, v) for (t2, c), v in full.items() if t2 == 2 * n]
@@ -589,6 +603,30 @@ def test_phi16_4_pins(order):
     assert _sha(build_phi16_4(order)) == _PINS_PHI16_4[order]
 
 
+def test_phi16_4_reduces_only_d8_canonical_rows(monkeypatch):
+    # reducing every distinct raw row would send 204,418 rows at order 2
+    def d8_canonical(row):
+        out = sorted(abs(x) for x in row)
+        if sum(x < 0 for x in row) % 2 and out[0]:
+            out[0] = -out[0]
+        return tuple(out)
+
+    canonical = {
+        (t2, d8_canonical([2 * x for x in row]))
+        for t2, row in _raw_by_dict_fold(2)
+    }
+    rows = []
+    reduce = e8jac.catalog._batch_reduce
+
+    def counted(arr):
+        rows.append(len(arr))
+        return reduce(arr)
+
+    monkeypatch.setattr(e8jac.catalog, "_batch_reduce", counted)
+    build_phi16_4(2)
+    assert 0 < sum(rows) <= len(canonical)
+
+
 def test_phi16_4_memory_stays_chunked():
     tracemalloc.start()
     try:
@@ -612,14 +650,15 @@ def _run_optimized(code):
     return proc.stdout.strip()
 
 
-_PATCHED_BLOCK = (
+_PATCHED_SEED = (
+    "import numpy as np\n"
     "import e8jac.catalog as c\n"
-    "real = c._theta_pair_block\n"
-    "def patched(max_t2):\n"
-    "    block = real(max_t2)\n"
+    "real = c._theta_square\n"
+    "def patched(cap):\n"
+    "    table = real(cap)\n"
     "{patch}"
-    "    return block\n"
-    "c._theta_pair_block = patched\n"
+    "    return table\n"
+    "c._theta_square = patched\n"
     "try:\n"
     "    c.build_phi16_4(0)\n"
     "except c.CertificationError as e:\n"
@@ -628,17 +667,17 @@ _PATCHED_BLOCK = (
 
 
 def test_phi16_4_odd_exponent_is_an_exception():
-    # every genuine block term has an odd doubled q-exponent, so one of
-    # exponent 0 gives a half table (two blocks) an odd exponent
-    patch = "    block[(0, (0, 0))] = 1\n"
-    out = _run_optimized(_PATCHED_BLOCK.format(patch=patch))
+    # every genuine seed term has exponent A^2 + delta^2 = 1 mod 4, so one
+    # of exponent 0 gives a four-factor product an odd doubled q-exponent
+    patch = "    table[0] = (np.array([128], np.uint64), np.array([1], np.int64))\n"
+    out = _run_optimized(_PATCHED_SEED.format(patch=patch))
     assert out == "odd doubled q-exponent in the theta product"
 
 
 @pytest.mark.parametrize("scale", [2**20, 2**40])
 def test_phi16_4_int64_overflow_is_an_exception(scale):
-    # 2**20: the half table fits int64 but half x half would wrap;
-    # 2**40: block x block would already wrap
-    patch = f"    block = {{k: v * {scale} for k, v in block.items()}}\n"
-    out = _run_optimized(_PATCHED_BLOCK.format(patch=patch))
+    # 2**20: the two-factor table fits int64 but its square would wrap;
+    # 2**40: seed x seed would already wrap
+    patch = f"    table = {{e: (k, v * {scale}) for e, (k, v) in table.items()}}\n"
+    out = _run_optimized(_PATCHED_SEED.format(patch=patch))
     assert out == "theta product coefficients would overflow int64"

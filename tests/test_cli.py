@@ -103,6 +103,13 @@ def test_shell_budget(capsys):
     assert "budget" in err
 
 
+def test_rank_budget(capsys):
+    code, out, err = run(capsys, "--budget", "100", "rank", "--max", "1000")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+
+
 def test_certification_failure_exits_3(capsys, monkeypatch, cold_memos):
     import e8jac.e8 as e8
 

@@ -24,6 +24,7 @@ from e8jac.e8 import (
     _A2,
     _POSITIVE_ROOTS,
     _decode_scaled,
+    _dn_canonical,
     _pack,
     _parabolic_order,
     _unpack,
@@ -364,6 +365,23 @@ def test_pack_round_trip(rows):
 def test_pack_order_is_lex_row_order(rows):
     lex = np.lexsort(tuple(rows[:, i] for i in range(7, -1, -1)))
     assert (np.argsort(_pack(rows), kind="stable") == lex).all()
+
+
+@given(st.data())
+def test_dn_canonical_is_one_row_per_dn_orbit(data):
+    # W(D_k): a permutation with an even number of sign flips
+    k = data.draw(st.integers(1, 8))
+    rows = data.draw(arrays(
+        np.int64, st.tuples(st.integers(1, 20), st.just(k)),
+        elements=st.integers(-60, 60),
+    ))
+    perm = data.draw(st.permutations(range(k)))
+    signs = data.draw(arrays(np.int64, k, elements=st.sampled_from([1, -1])))
+    if (signs < 0).sum() % 2:
+        signs[0] = -signs[0]
+    canon = _dn_canonical(rows)
+    assert (_dn_canonical(canon) == canon).all()
+    assert (_dn_canonical(rows[:, list(perm)] * signs) == canon).all()
 
 
 @pytest.mark.parametrize("bad", [128, -129])

@@ -25,7 +25,12 @@ from e8jac import (
     sigma_label,
     SIGMA_LABELS,
 )
-from oracles import inv_mul_brute, lincomb_by_fold, orbit_pair_product_by_full_orbit
+from oracles import (
+    inv_mul_brute,
+    inv_mul_by_membership,
+    lincomb_by_fold,
+    orbit_pair_product_by_full_orbit,
+)
 
 W8 = DominantWeight.from_fw((0, 0, 0, 0, 0, 0, 0, 1))
 W1 = DominantWeight.from_fw((1, 0, 0, 0, 0, 0, 0, 0))
@@ -56,10 +61,13 @@ def test_root_orbit_squared_decomposition():
     }
 
 
-@pytest.mark.parametrize("m1,m2", [(W8, W8), (W8, W1)])
+@pytest.mark.parametrize("m1,m2", [(W8, W8), (W8, W1), (W7, W8), (ZERO_W, W1)])
 def test_product_matches_brute_force(m1, m2):
+    # the membership oracle of test_12 is checked against the brute product too
     fast = inv_mul(InvariantElement.orbit_sum(m1), InvariantElement.orbit_sum(m2))
-    assert fast.terms == inv_mul_brute(m1, m2)
+    brute = inv_mul_brute(m1, m2)
+    assert fast.terms == brute
+    assert inv_mul_by_membership(m1, m2) == brute
 
 
 def test_product_commutes():
