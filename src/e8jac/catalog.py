@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .jacobi import (
     rescale_z,
     theta_e8,
 )
-from .linalg import nullspace, rank
+from .linalg import integerize, nullspace, rank
 from .qseries import ModularQSeries, delta, dim_modular, eisenstein
 
 __all__ = [
@@ -84,8 +84,15 @@ class CatalogError(RuntimeError):
 
 @cache
 def _mf(a4: int, a6: int, d: int, order: int) -> ModularQSeries:
-    """E4^a4 · E6^a6 · Δ^d at the given order."""
-    return eisenstein(4, order) ** a4 * eisenstein(6, order) ** a6 * delta(order) ** d
+    """E4^a4 · E6^a6 · Δ^d at the given order, one factor times a cached
+    product of the others."""
+    if a4:
+        return _mf(a4 - 1, a6, d, order) * eisenstein(4, order)
+    if a6:
+        return _mf(0, a6 - 1, d, order) * eisenstein(6, order)
+    if d:
+        return _mf(0, 0, d - 1, order) * delta(order)
+    return ModularQSeries(0, [1] + [0] * order)
 
 
 def _display_coeff(elem: InvariantElement, label: str) -> Fraction:
@@ -710,6 +717,50 @@ class ModuleReport:
         return all(r[3] for r in self.rows)
 
 
+def _integer_blocks(gens):
+    """The generators cleared of denominators: (orbits, [(D_g, G_g)]).
+
+    orbits is the sorted joint support of the generators; D_g is the lcm of
+    g's coefficient denominators and G_g[n][j] is D_g times g's coefficient
+    of orb(orbits[j]) at q^n.
+    """
+    orbits = sorted({mm for g in gens for term in g.terms for mm in term.terms})
+    column = {mm: j for j, mm in enumerate(orbits)}
+    blocks = []
+    for g in gens:
+        scale = lcm(*(c.denominator for term in g.terms for c in term.terms.values()))
+        block = [[0] * len(orbits) for _ in g.terms]
+        for row, term in zip(block, g.terms):
+            for mm, c in term.terms.items():
+                row[column[mm]] = c.numerator * (scale // c.denominator)
+        blocks.append((scale, block))
+    return orbits, blocks
+
+
+def _integer_candidates(weight: int, gens, blocks, order: int):
+    """The candidates of _weight_candidates, each scaled by its generator's
+    D_g, as integer rows over (q-power, orbit) columns, q-powers outermost;
+    and the D_g of each row."""
+    rows, scales = [], []
+    for g, (scale, block) in zip(gens, blocks):
+        for a4, a6 in _monomials(weight - g.weight):
+            f = _mf(a4, a6, 0, order)
+            if any(c.denominator != 1 for c in f.coeffs):
+                raise CertificationError(
+                    f"E4^{a4}·E6^{a6} has a coefficient that is not an integer")
+            f = [c.numerator for c in f.coeffs]
+            row: list[int] = []
+            for n in range(order + 1):
+                acc = [0] * len(block[n])
+                for j in range(n + 1):
+                    if f[j]:
+                        acc = [a + f[j] * b for a, b in zip(acc, block[n - j])]
+                row += acc
+            rows.append(row)
+            scales.append(scale)
+    return rows, scales
+
+
 def verify_free_module(
     t: int, max_weight: int, order: int | None = None
 ) -> ModuleReport:
@@ -719,39 +770,39 @@ def verify_free_module(
     weak generators must be linearly independent (exact rank over the
     rationals) and as numerous as the graded free-module count predicts. A
     rank deficiency is reported with an explicit vanishing combination.
+
+    No candidate form is built. Each generator g is cleared of denominators
+    once, to D_g·g on integers, one column per (q-power, orbit) of the
+    generators' joint support; E4^a·E6^b has integer coefficients, so the
+    candidate E4^a·E6^b·g scaled by D_g is an integer convolution of the
+    two. Scaling rows keeps the rank, and a vanishing combination x of the
+    scaled rows is the combination D·x of the candidates.
     """
     if order is None:
         order = default_order(t)
     gens = [build(g, order) for g in _WEAK_GEN_NAMES[t]]
     report = ModuleReport(t, len(gens))
+    _, blocks = _integer_blocks(gens)
     start = min(g.weight for g in gens)
     for w in range(start, max_weight + 1, 2):
-        cands = _weight_candidates(w, t, order)
+        rows, scales = _integer_candidates(w, gens, blocks, order)
         expected = sum(dim_modular(w - g.weight) for g in gens)
-        if len(cands) != expected:
+        if len(rows) != expected:
             raise CertificationError(
-                f"weight {w}: {len(cands)} candidates, free-module count {expected}"
+                f"weight {w}: {len(rows)} candidates, free-module count {expected}"
             )
-        if not cands:
+        if not rows:
             report.rows.append((w, 0, 0, True, ""))
             continue
-        cols: list[tuple[int, DominantWeight]] = sorted(
-            {
-                (n, mm)
-                for c in cands
-                for n in range(order + 1)
-                for mm in c.term(n).terms
-            }
-        )
-        matrix = [
-            [c.term(n).coeff(mm) for (n, mm) in cols] for c in cands
-        ]
-        rk = rank(matrix)
+        # a column that no candidate reaches does not change the rank
+        live = [c for c in zip(*rows) if any(c)]
+        rk = rank(list(zip(*live)))
         ok = rk == expected
         detail = ""
         if not ok:
-            combo = nullspace([list(r) for r in zip(*matrix)], len(cands))
-            detail = f"vanishing combination: {combo[0] if combo else '?'}"
+            combo = nullspace(live, len(rows))
+            vec = integerize([x * d for x, d in zip(combo[0], scales)]) if combo else "?"
+            detail = f"vanishing combination: {vec}"
         report.rows.append((w, expected, rk, ok, detail))
     return report
 

@@ -1,7 +1,8 @@
 """Command-line interface: q-expansions, lattice queries, tables, verification.
 
 Exit codes: 0 success, 1 a verification suite found a failure, 2 usage or
-resource errors (unknown form, insufficient order, budget exceeded, a
+resource errors (a command line argparse rejects, a budget that is not a
+positive integer, unknown form, insufficient order, budget exceeded, a
 request the catalog cannot serve, stdout closed before the output was
 written), 3 a failed certification
 (CertificationError: a result the library checks on every call did not
@@ -31,6 +32,7 @@ from .e8 import (
     BUDGET_ENV,
     BudgetError,
     DominantWeight,
+    element_budget,
     max_coset_min_norm,
     shell,
 )
@@ -373,9 +375,19 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects; main reports it as one error line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the parent's class, so one override covers all
+    def error(self, message):
+        raise _UsageError(message)
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="e8jac",
         description="Exact q-expansions of W(E8)-invariant Jacobi forms.",
     )
@@ -443,11 +455,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     saved = os.environ.get(BUDGET_ENV)
-    if args.budget is not None:
-        os.environ[BUDGET_ENV] = str(args.budget)
     try:
+        args = _parser().parse_args(argv)
+        element_budget(args.budget)  # a bad --budget or $E8JAC_BUDGET is a usage error
+        if args.budget is not None:
+            os.environ[BUDGET_ENV] = str(args.budget)
         code = args.fn(args)
         sys.stdout.flush()
         return code
@@ -458,7 +471,8 @@ def main(argv=None) -> int:
         print("error: stdout closed before the output was written",
               file=sys.stderr)
         return 2
-    except (BudgetError, CatalogError, KeyError, ValueError, IndexError) as exc:
+    except (_UsageError, BudgetError, CatalogError, KeyError, ValueError,
+            IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # CertificationError or another internal error

@@ -81,11 +81,25 @@ class CertificationError(RuntimeError):
 
 
 def element_budget(budget: int | None = None) -> int:
-    """The effective element budget: explicit argument, else environment, else default."""
+    """The effective element budget: explicit argument, else environment, else default.
+
+    A value that is not a positive integer raises ValueError naming its
+    source: the argument (the CLI's --budget) or $E8JAC_BUDGET.
+    """
     if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_BUDGET
+        source, value = "budget argument (--budget)", budget
+    else:
+        value = os.environ.get(BUDGET_ENV)
+        if not value:
+            return DEFAULT_BUDGET
+        source = BUDGET_ENV
+        try:
+            value = int(value)
+        except ValueError:
+            pass  # reported below, with the text as given
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return value
 
 
 def _integers(xs) -> tuple[int, ...]:

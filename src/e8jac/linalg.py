@@ -2,9 +2,14 @@
 
 Elimination is fraction-free: each row is scaled once to primitive
 integers and rows are combined on Python ints, so no Fraction is built
-until the pivot rows are divided back to Fraction at the end. A matrix has
-exactly one reduced row echelon form, so results do not depend on the
-pivot rule.
+until the pivot rows of rref are divided back to Fraction at the end. A
+matrix has exactly one reduced row echelon form, so results do not depend
+on the pivot rule.
+
+rank eliminates forward only, by Bareiss's fraction-free rule (Math. Comp.
+1968): each update is divided exactly by the previous pivot, so entries
+stay minors of the input and there is no back-substitution and no gcd.
+The pivot count of rref is its test oracle.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ __all__ = ["rref", "rank", "nullspace", "integerize"]
 
 def _primitive(row) -> list[int]:
     """The coprime integer row that is a positive multiple of a rational row."""
-    row = [Fraction(x) for x in row]
+    row = [x if isinstance(x, int) else Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (scale // x.denominator) for x in row]
     g = gcd(*ints)
@@ -60,7 +65,26 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    """The rank of a rational matrix, by forward fraction-free elimination.
+
+    After k pivots every entry left is a (k+1)-minor of the primitive rows
+    (Sylvester's identity), so the division by the previous pivot is exact. Rows that
+    become zero are dropped, and so is every column up to the pivot's.
+    """
+    m = [r for r in map(_primitive, rows) if any(r)]
+    rk, prev = 0, 1
+    while m:
+        c = next(j for j, col in enumerate(zip(*m)) if any(col))
+        prow = min((r for r in m if r[c]), key=lambda r: abs(r[c]))
+        p, tail = prow[c], prow[c + 1:]
+        m = [
+            row for row in (
+                [(p * a - r[c] * b) // prev for a, b in zip(r[c + 1:], tail)]
+                for r in m if r is not prow
+            ) if any(row)
+        ]
+        rk, prev = rk + 1, p
+    return rk
 
 
 def nullspace(rows, ncols: int):

@@ -27,7 +27,10 @@ function computes, and is used only by the tests:
   denominator and divides by convolving with all of it);
 * ``inv_mul_by_membership`` for ``invring.inv_mul`` on two orbit sums
   (counts, for each candidate dominant m, the a in orb(m1) with m - a in
-  orb(m2), with no dominant reduction).
+  orb(m2), with no dominant reduction);
+* ``free_module_report_by_forms`` for ``catalog.verify_free_module`` (builds
+  every candidate form E4^a·E6^b·g with ``jf_scale`` and ranks its Fraction
+  coefficients on the sorted (q-power, orbit) columns).
 """
 from __future__ import annotations
 
@@ -55,8 +58,16 @@ from e8jac.e8 import (
     pairing,
     shell,
 )
+from e8jac.catalog import (
+    ModuleReport,
+    _WEAK_GEN_NAMES,
+    _weight_candidates,
+    build,
+    default_order,
+)
 from e8jac.invring import InvariantElement
-from e8jac.qseries import ModularQSeries
+from e8jac.linalg import nullspace, rank
+from e8jac.qseries import ModularQSeries, dim_modular
 
 
 def orbit_array_by_seen_set(m: DominantWeight) -> np.ndarray:
@@ -456,3 +467,36 @@ def inv_mul_by_membership(
         if count:
             out[DominantWeight(E8Vector(md))] = Fraction(count)
     return out
+
+
+def free_module_report_by_forms(
+    t: int, max_weight: int, order: int | None = None
+) -> ModuleReport:
+    """verify_free_module by candidate forms: for each weight, every modular
+    multiple of a weak generator is built as a form, and the rank is taken
+    on its Fraction coefficients over the sorted (n, orbit) columns that
+    some candidate reaches. A deficiency names the first nullspace vector of
+    the transposed matrix."""
+    if order is None:
+        order = default_order(t)
+    gens = [build(g, order) for g in _WEAK_GEN_NAMES[t]]
+    report = ModuleReport(t, len(gens))
+    for w in range(min(g.weight for g in gens), max_weight + 1, 2):
+        cands = _weight_candidates(w, t, order)
+        expected = sum(dim_modular(w - g.weight) for g in gens)
+        assert len(cands) == expected
+        if not cands:
+            report.rows.append((w, 0, 0, True, ""))
+            continue
+        cols = sorted(
+            {(n, mm) for c in cands for n in range(order + 1) for mm in c.term(n).terms}
+        )
+        matrix = [[c.term(n).coeff(mm) for (n, mm) in cols] for c in cands]
+        rk = rank(matrix)
+        ok = rk == expected
+        detail = ""
+        if not ok:
+            combo = nullspace([list(r) for r in zip(*matrix)], len(cands))
+            detail = f"vanishing combination: {combo[0] if combo else '?'}"
+        report.rows.append((w, expected, rk, ok, detail))
+    return report

@@ -35,7 +35,10 @@ from e8jac.catalog import (
     Term,
     _display_coeff,
     _hol_rules,
+    _integer_blocks,
+    _integer_candidates,
     _mf,
+    _weight_candidates,
     build_phi16_4,
     default_order,
     parse_recipe,
@@ -43,9 +46,13 @@ from e8jac.catalog import (
 )
 from e8jac.e8 import BUDGET_ENV, BudgetError, E8Vector, _batch_reduce, orbit_size
 from e8jac.invring import SIGMA_LABELS, InvariantElement
-from e8jac.jacobi import JacobiQExpansion, heat, jf_div_modular, jf_scale
-from e8jac.qseries import delta, eisenstein
-from oracles import _theta_pair_block, rank_series_by_convolution
+from e8jac.jacobi import JacobiQExpansion, heat, jf_div_modular, jf_lincomb, jf_scale
+from e8jac.qseries import ModularQSeries, delta, eisenstein
+from oracles import (
+    _theta_pair_block,
+    free_module_report_by_forms,
+    rank_series_by_convolution,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +188,15 @@ def test_free_module_count_is_an_exception(monkeypatch):
     monkeypatch.setattr(catalog, "dim_modular", lambda k: 7)
     with pytest.raises(CertificationError, match="candidates"):
         verify_free_module(1, 8, order=1)
+
+
+def test_free_module_needs_integral_modular_products(monkeypatch):
+    import e8jac.catalog as catalog
+
+    half = ModularQSeries(4, [Fraction(1, 2), 0, 0, 0])
+    monkeypatch.setattr(catalog, "_mf", lambda *args: half)
+    with pytest.raises(CertificationError, match="not an integer"):
+        verify_free_module(1, 8)
 
 
 _STARRED = ("u10_4", "u12_4", "cusp_8_4", "cusp_10_4", "cusp_12_4")
@@ -335,6 +351,74 @@ def test_free_module_index2():
     rep = verify_free_module(2, 6, order=2)
     assert rep.ok
     assert rep.rows[0][0] == -4
+
+
+@pytest.mark.parametrize("order", [None, 2])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_free_module_matches_form_oracle(t, order):
+    # the oracle builds every candidate form and ranks Fraction coefficients
+    assert verify_free_module(t, 16, order) == free_module_report_by_forms(t, 16, order)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_integer_candidates_are_scaled_candidate_forms(t):
+    order = default_order(t)
+    gens = [build(g, order) for g in weak_generator_names(t)]
+    orbits, blocks = _integer_blocks(gens)
+    for w in range(min(g.weight for g in gens), 17, 2):
+        rows, scales = _integer_candidates(w, gens, blocks, order)
+        cands = _weight_candidates(w, t, order)
+        assert len(rows) == len(scales) == len(cands)
+        for row, d, cand in zip(rows, scales, cands):
+            assert all(set(cand.term(n).terms) <= set(orbits) for n in range(order + 1))
+            assert all(type(x) is int for x in row)
+            assert row == [d * cand.term(n).coeff(mm)
+                           for n in range(order + 1) for mm in orbits]
+
+
+@pytest.mark.parametrize("names", [
+    ("phi_-4_2", "phi_-4_2"),
+    # x2 has denominator lcm 1 where the others have 9, so the reported
+    # combination must undo the row scaling
+    ("phi_-4_2", "phi_-2_2", "phi_0_2", "x2"),
+])
+def test_free_module_deficiency_names_a_vanishing_combination(monkeypatch, names):
+    import e8jac.catalog as catalog
+
+    monkeypatch.setitem(catalog._WEAK_GEN_NAMES, 2, names)
+    rep = verify_free_module(2, 16)
+    assert not rep.ok
+    assert rep == free_module_report_by_forms(2, 16)
+    for w, expected, rk, ok, detail in rep.rows:
+        if ok:
+            continue
+        assert rk < expected
+        combo = json.loads(detail.removeprefix("vanishing combination: "))
+        cands = _weight_candidates(w, 2, default_order(2))
+        assert jf_lincomb([(x, c) for x, c in zip(combo, cands) if x]).is_zero()
+
+
+def test_free_module_builds_no_candidate_form(monkeypatch):
+    import e8jac.catalog as catalog
+    import e8jac.jacobi as jacobi
+
+    verify_free_module(4, 16)  # builds the generators
+    calls = []
+    init = JacobiQExpansion.__init__
+
+    def counted_init(self, *args):
+        calls.append("JacobiQExpansion")
+        init(self, *args)
+
+    def counted_scale(*args):
+        calls.append("jf_scale")
+        return jf_scale(*args)
+
+    monkeypatch.setattr(JacobiQExpansion, "__init__", counted_init)
+    monkeypatch.setattr(catalog, "jf_scale", counted_scale)
+    monkeypatch.setattr(jacobi, "jf_scale", counted_scale)
+    assert verify_free_module(4, 16).ok
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

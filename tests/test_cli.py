@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e8jac import REGISTRY, JacobiQExpansion, build, theta_e8
 from e8jac.cli import main, _SUITES, _parser
@@ -240,9 +244,11 @@ def test_index_suite_reports_a_wrong_pin(capsys, monkeypatch):
 
 
 def test_verify_rejects_unknown_suite(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nonsense"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "verify", "--suite", "nonsense")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: argument --suite: invalid choice: 'nonsense'")
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +309,107 @@ def test_closed_stdout_is_one_error_line():
 
 
 def test_missing_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the following arguments are required: command\n"
+
+
+# ---------------------------------------------------------------------------
+# budget settings
+
+
+def test_negative_budget_flag_is_one_usage_error(capsys):
+    code, out, err = run(capsys, "--budget", "-5", "rank", "--max", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: budget argument (--budget) must be a positive "
+                   "integer, got -5\n")
+
+
+def test_non_integer_budget_flag_is_one_usage_error(capsys):
+    code, out, err = run(capsys, "--budget", "abc", "rank", "--max", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: argument --budget: invalid int value: 'abc'\n"
+
+
+@pytest.mark.parametrize("bad", ["abc", "-5", "0"])
+def test_bad_budget_environment_is_one_usage_error(capsys, monkeypatch, bad):
+    # pullback-max enumerates nothing, so only the up-front check reads it
+    monkeypatch.setenv(BUDGET_ENV, bad)
+    code, out, err = run(capsys, "pullback-max")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {BUDGET_ENV} must be a positive integer")
+    assert os.environ[BUDGET_ENV] == bad
+
+
+def test_budget_flag_overrides_a_bad_environment(capsys, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "abc")
+    code, out, _ = run(capsys, "--budget", "100", "rank", "--max", "3")
+    assert (code, out) == (0, "1 3 5\n")
+    assert os.environ[BUDGET_ENV] == "abc"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the argument surface (verify is left out: a suite takes seconds)
+
+_NUM = st.integers(min_value=-3, max_value=12).map(str)
+
+
+def _options(*pairs):
+    """A strategy for the option tokens: each (flag, values, required) pair
+    is present (always if required), and the options come in any order."""
+    parts = []
+    for flag, values, required in pairs:
+        opt = values.map(lambda v, flag=flag: [flag, v])
+        parts.append(opt.map(lambda o: [o]) if required
+                     else st.lists(opt, max_size=1))
+    return st.tuples(*parts).map(lambda groups: [o for g in groups for o in g]) \
+        .flatmap(st.permutations).map(lambda opts: [t for o in opts for t in o])
+
+
+_FORMS = st.sampled_from(sorted(REGISTRY) + ["nosuchform"])
+_FMT = st.sampled_from(["text", "json"])
+_COMMANDS = st.one_of(
+    _options(("--form", _FORMS, True), ("--order", _NUM, False),
+             ("--format", _FMT, False)).map(lambda o: ["expand"] + o),
+    _options(("--norm", _NUM, True), ("--format", _FMT, False))
+    .map(lambda o: ["orbits"] + o),
+    _options(("--t", _NUM, True), ("--format", _FMT, False))
+    .map(lambda o: ["coset-minima"] + o),
+    _options(("--max", _NUM, False), ("--format", _FMT, False))
+    .map(lambda o: ["rank"] + o),
+    _options(("--max", _NUM, False), ("--format", _FMT, False))
+    .map(lambda o: ["bounds"] + o),
+    _options(("--format", _FMT, False)).map(lambda o: ["pullback-max"] + o),
+    _options(("--t", _NUM, True), ("--w0", _NUM, True),
+             ("--norms", st.lists(_NUM, max_size=5).map(",".join), True),
+             ("--format", _FMT, False)).map(lambda o: ["solve-cascade"] + o),
+)
+_MALFORMED = st.sampled_from([
+    "--bogus", "abc", "", "-", "--", "--order", "--format", "xml", "1.5",
+    "--budget", "=", "frobnicate", "0,,2", "--norms", "-1e3", "Σ_2",
+])
+
+
+@st.composite
+def _argv(draw):
+    argv = ["--budget", str(draw(st.integers(min_value=-3, max_value=10**4)))]
+    argv += draw(_COMMANDS)
+    # most command lines are well formed; some carry one or two bad tokens
+    count = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    for token in draw(st.lists(_MALFORMED, min_size=count, max_size=count)):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), token)
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_command_lines_exit_with_one_error_line_at_most(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    if code:
+        assert err.getvalue().startswith("error: "), argv

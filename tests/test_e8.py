@@ -31,6 +31,7 @@ from e8jac.e8 import (
     alcove,
     coset_min_norm,
     dominant_reduce,
+    element_budget,
     max_coset_min_norm,
     max_pairing,
     orbit,
@@ -343,6 +344,33 @@ def test_orbit_budget_env(monkeypatch):
     monkeypatch.setenv("E8JAC_BUDGET", "100")
     with pytest.raises(BudgetError):
         orbit_array(fw(1, 2, 0, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [-5, 0, 1.5, "100"])
+def test_budget_argument_must_be_a_positive_integer(bad):
+    with pytest.raises(ValueError, match=r"budget argument \(--budget\) must be a "
+                       r"positive integer"):
+        element_budget(bad)
+
+
+@pytest.mark.parametrize("bad", ["abc", "-5", "0", "1e3", "²"])
+def test_budget_environment_must_be_a_positive_integer(monkeypatch, bad):
+    monkeypatch.setenv(BUDGET_ENV, bad)
+    with pytest.raises(ValueError, match=f"^{BUDGET_ENV} must be a positive integer"):
+        element_budget()
+    # a library call that reads the budget reports the same setting
+    with pytest.raises(ValueError, match=BUDGET_ENV):
+        rank_series(3)
+
+
+def test_budget_sources_in_order(monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert element_budget() == 2_000_000
+    monkeypatch.setenv(BUDGET_ENV, "")
+    assert element_budget() == 2_000_000
+    monkeypatch.setenv(BUDGET_ENV, " 700 ")
+    assert element_budget() == 700
+    assert element_budget(5) == 5
 
 
 # ---------------------------------------------------------------------------

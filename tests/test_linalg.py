@@ -103,7 +103,7 @@ entries = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw):
+def rational_matrices(draw, entries=entries):
     """Wide, tall or empty matrices with zero, duplicate and dependent rows."""
     ncols = draw(st.integers(min_value=1, max_value=7))
     row = st.lists(entries, min_size=ncols, max_size=ncols)
@@ -128,6 +128,31 @@ def test_rref_matches_fraction_oracle(rows):
     assert (m, pivots) == rref_by_fractions(rows)
     assert all(type(x) is Fraction for r in m for x in r)
     assert rows == before
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_is_the_rref_pivot_count(rows):
+    before = [list(r) for r in rows]
+    assert rank(rows) == len(rref(rows)[1])
+    assert rows == before
+
+
+@given(rational_matrices(st.integers(min_value=-2**80, max_value=2**80)))
+@settings(max_examples=150, deadline=None)
+def test_rank_is_the_rref_pivot_count_on_wide_integers(rows):
+    assert rank(rows) == len(rref(rows)[1])
+
+
+def test_rank_builds_no_fraction_on_integer_rows(monkeypatch):
+    import e8jac.linalg as linalg
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built for an integer matrix")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert rank([[0, 2, 4], [0, 1, 2], [3, 0, 0], [0, 0, 0]]) == 2
+    assert rank([[2**80, 1], [2**81, 2], [1, 2**80]]) == 2
 
 
 def test_rref_empty_and_zero_rows():
