@@ -28,6 +28,7 @@ from .e8 import (
     DominantWeight,
     _batch_reduce,
     _dn_canonical,
+    _key_weight,
     _pack,
     _sum_by_key,
     _unpack,
@@ -36,7 +37,7 @@ from .e8 import (
     max_pairing,
     orbit_size,
 )
-from .invring import SIGMA_LABELS, InvariantElement, label_weight
+from .invring import SIGMA_LABELS, InvariantElement, _element, label_weight
 from .jacobi import (
     JacobiQExpansion,
     heat,
@@ -167,6 +168,14 @@ def _fold(table, width: int, keep) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+# The theta quotient is built at orders 0.._PHI16_4_MAX_ORDER; every recipe
+# that reaches phi_-16_4 is held to it before any of its terms is built.
+_PHI16_4_MAX_ORDER = 3
+_PHI16_4_ORDER_ERROR = (
+    f"theta-quotient construction supports orders 0..{_PHI16_4_MAX_ORDER}"
+)
+
+
 def build_phi16_4(order: int) -> JacobiQExpansion:
     """The weight -16 index 4 generator, from the 16-fold theta quotient.
 
@@ -179,8 +188,8 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
     Each q-power's raw rows are summed by W(D8)-canonical row first
     (W(D8) lies in W(E8)), and only those rows are dominant-reduced.
     """
-    if order < 0 or order > 3:
-        raise ValueError("theta-quotient construction supports orders 0..3")
+    if order < 0 or order > _PHI16_4_MAX_ORDER:
+        raise ValueError(_PHI16_4_ORDER_ERROR)
     n_num = order + 2
     # every factor has exponent >= 1 and the eight sum to at most 4 * n_num
     two = _fold(_theta_square(4 * n_num - 7), 8, range(4 * n_num - 5))
@@ -195,10 +204,14 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
         rows = _dn_canonical(_unpack(keys).astype(np.int16) @ _FRAME)
         keys, vals = _sum_by_key(_pack(rows), vals)
         keys, vals = _sum_by_key(_pack(_batch_reduce(_unpack(keys))), vals)
-        terms.append(InvariantElement({
-            m: Fraction(total, orbit_size(m))
-            for m, total in zip(DominantWeight._from_rows(_unpack(keys)), vals.tolist())
-        }))
+        keys = keys.tolist()
+        # the coefficient of orb(m) is the raw total over |orb(m)|
+        sizes = [orbit_size(_key_weight(k)) for k in keys]
+        den = lcm(*sizes)
+        terms.append(_element(
+            {k: v * (den // size) for k, v, size in zip(keys, vals.tolist(), sizes)},
+            den,
+        ))
 
     if not (terms[0].is_zero() and terms[1].is_zero()):
         raise CertificationError("prefactor power mismatch")
@@ -271,8 +284,17 @@ class Recipe:
     terms: tuple[Term, ...]
     over_delta: bool = False
 
+    def inputs(self, n: int) -> list[tuple[str, int]]:
+        """(registry name, order) of every factor built to evaluate to order n:
+        a term with T₋(s) builds its factors at order s·k, where k = n + 1
+        for a recipe over Δ and k = n otherwise."""
+        k = n + 1 if self.over_delta else n
+        return [(name, t.lift * k) for t in self.terms for name in t.factors]
+
     def __call__(self, n: int) -> JacobiQExpansion:
-        """Evaluate the recipe to order n."""
+        """Evaluate the recipe to order n, once every input order is checked."""
+        for name, order in self.inputs(n):
+            _check_orders(name, order)
         k = n + 1 if self.over_delta else n
         parts = [_term(t, k) for t in self.terms]
         _check_kinds(f for _, f in parts)
@@ -532,6 +554,19 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
 
 
 @cache
+def _check_orders(name: str, order: int) -> None:
+    """Raise, before anything is built, the ValueError that building the
+    registry form name at order would meet: walks the recipe inputs through
+    the registry down to phi_-16_4 and its order cap."""
+    if name == "phi_-16_4" and order > _PHI16_4_MAX_ORDER:
+        raise ValueError(_PHI16_4_ORDER_ERROR)
+    recipe = REGISTRY[name].builder
+    if isinstance(recipe, Recipe):
+        for factor, k in recipe.inputs(order):
+            _check_orders(factor, k)
+
+
+@cache
 def _build(name: str, order: int) -> JacobiQExpansion:
     """Run the registry builder of a checked name and order, and its contract check."""
     entry = REGISTRY[name]
@@ -679,12 +714,9 @@ def holomorphic_subspace(weight: int, t: int, order: int) -> list[JacobiQExpansi
         return []
     constraints: list[tuple[int, DominantWeight]] = []
     for n, bound in rules:
-        pts = set()
-        for c in cands:
-            for mm in c.term(n).terms:
-                if mm.norm() > bound:
-                    pts.add(mm)
-        constraints.extend((n, mm) for mm in sorted(pts))
+        pts = {k for c in cands for k in c.term(n).num
+               if _key_weight(k).norm() > bound}
+        constraints.extend((n, _key_weight(k)) for k in sorted(pts))
     matrix = [
         [c.term(n).coeff(mm) for c in cands] for n, mm in constraints
     ]
@@ -720,19 +752,21 @@ class ModuleReport:
 def _integer_blocks(gens):
     """The generators cleared of denominators: (orbits, [(D_g, G_g)]).
 
-    orbits is the sorted joint support of the generators; D_g is the lcm of
-    g's coefficient denominators and G_g[n][j] is D_g times g's coefficient
-    of orb(orbits[j]) at q^n.
+    orbits is the sorted joint support of the generators, as packed row
+    keys; D_g is the lcm of g's q-power denominators, the lcm of its
+    coefficient denominators, and G_g[n][j] is D_g times g's coefficient of
+    orb(orbits[j]) at q^n.
     """
-    orbits = sorted({mm for g in gens for term in g.terms for mm in term.terms})
-    column = {mm: j for j, mm in enumerate(orbits)}
+    orbits = sorted({k for g in gens for term in g.terms for k in term.num})
+    column = {k: j for j, k in enumerate(orbits)}
     blocks = []
     for g in gens:
-        scale = lcm(*(c.denominator for term in g.terms for c in term.terms.values()))
+        scale = lcm(*(term.den for term in g.terms))
         block = [[0] * len(orbits) for _ in g.terms]
         for row, term in zip(block, g.terms):
-            for mm, c in term.terms.items():
-                row[column[mm]] = c.numerator * (scale // c.denominator)
+            factor = scale // term.den
+            for k, v in term.num.items():
+                row[column[k]] = v * factor
         blocks.append((scale, block))
     return orbits, blocks
 

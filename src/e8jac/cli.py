@@ -141,7 +141,12 @@ def _cmd_pullback_max(args) -> int:
 
 
 def _cmd_solve_cascade(args) -> int:
-    norms = [int(x) for x in args.norms.split(",")]
+    norms = []
+    for item in args.norms.split(","):
+        try:
+            norms.append(int(item))
+        except ValueError:
+            raise ValueError(f"--norms item {item!r} is not an integer") from None
     sys_ = solve_cascade(args.t, args.w0, norms)
     if args.format == "json":
         _emit_json(
@@ -321,7 +326,7 @@ def _suite_properties():
         try:
             # each stored (n, m) has 480 shifts, so this is at least K: exhaustive
             done = check_quasi_periodicity(
-                f, samples=480 * sum(len(term.terms) for term in f.terms))
+                f, samples=480 * sum(len(term.num) for term in f.terms))
             out.append((f"properties: quasi-periodicity {name} ({done} checks)",
                         True, ""))
         except AssertionError as exc:

@@ -25,7 +25,10 @@ packs each row into one uint64 key, a byte per doubled coordinate (see
 _pack), so every doubled coordinate must lie in [-128, 127]. A row beyond
 that, which needs norm >= 4096, raises BudgetError; the deepest path in the
 benchmark and the catalog reaches a doubled coordinate of 12. A weighted
-bin sums values over equal keys in one kernel, _sum_by_key.
+bin sums values over equal keys in one kernel, _sum_by_key. The same key
+as a Python int (_key packs one row, with the same range check) is what
+invariant elements are keyed by; _key_weight turns a key back into its
+DominantWeight, once per key.
 
 W(D_k), the signed permutations with an even number of sign changes, has
 one canonicalization step, _dn_canonical. It is the D7 half of batched
@@ -291,6 +294,19 @@ def _pack(rows: np.ndarray) -> np.ndarray:
 def _unpack(keys: np.ndarray) -> np.ndarray:
     """Inverse of _pack: the (n, 8) int64 rows of uint64 keys."""
     return keys.astype(">u8").view(np.uint8).reshape(-1, 8).astype(np.int64) - 128
+
+
+def _key(d) -> int:
+    """The _pack key of one row of doubled coordinates, as a Python int."""
+    if min(d) < -128 or max(d) > 127:
+        raise BudgetError("lattice row has a doubled coordinate outside [-128, 127]")
+    return int.from_bytes(bytes(x + 128 for x in d), "big")
+
+
+@functools.cache
+def _key_weight(key: int) -> "DominantWeight":
+    """The DominantWeight whose row has the _pack key key."""
+    return DominantWeight._from_rows([[b - 128 for b in key.to_bytes(8, "big")]])[0]
 
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray):

@@ -4,6 +4,13 @@ An InvariantElement is a rational linear combination of plain orbit sums
 orb(m) = sum of e^(a,z) over the Weyl orbit of a dominant weight m. These
 are the q-power coefficients of the Jacobi forms in this package.
 
+This module owns the one exact coefficient format. An element stores
+integer numerators keyed by the packed row of m (e8._pack's key, a Python
+int) over one positive denominator, in lowest terms, so sums, products and
+pair products run on Python ints with no Fraction and no object hashing.
+Fractions and DominantWeights are built only where the API returns them
+(terms, coeff, support, display, JSON, evaluation).
+
 Internally everything multiplies plain orbit sums; the 240-normalized
 Σ-labels used in printed expansions are a display layer on top
 (coefficient of orb(m) renders as c·|orb(m)|/240 on the label for m).
@@ -12,16 +19,21 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 import numpy as np
 
 from .e8 import (
     _A2,
     ZERO,
+    BudgetError,
     CertificationError,
     DominantWeight,
     E8Vector,
     _batch_reduce,
+    _key,
+    _key_weight,
     _pack,
     _parabolic_order,
     _stabilizer_mask,
@@ -106,18 +118,42 @@ def label_weight(label: str) -> DominantWeight:
     raise KeyError(f"unknown orbit label {label!r}")
 
 
-class InvariantElement:
-    """Sparse map DominantWeight -> Fraction; zero coefficients pruned."""
+_ZERO_KEY = _key(ZERO.d)
 
-    __slots__ = ("terms",)
+
+def _element(num: dict[int, int], den: int) -> "InvariantElement":
+    """The element num/den in canonical form: zero numerators dropped and
+    gcd(den, *num.values()) divided out. Takes ownership of num; den > 0."""
+    if not all(num.values()):
+        num = {k: v for k, v in num.items() if v}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
+    out = InvariantElement.__new__(InvariantElement)
+    out.num, out.den = num, den
+    return out
+
+
+class InvariantElement:
+    """Sparse sum of c·orb(m): integer numerators over one denominator.
+
+    num maps the e8._pack key of each dominant row m (a Python int; key
+    order is lex row order) to a nonzero integer, and den is a positive
+    integer, so the coefficient of orb(m) is num[key] / den. The form is
+    canonical, gcd(den, *num.values()) == 1, so equal elements have equal
+    (den, num). An element is never changed after it is built.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: dict[DominantWeight, Fraction] | None = None):
-        self.terms: dict[DominantWeight, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[m] = c
+        fracs = {_key(m.d): Fraction(c) for m, c in (terms or {}).items()}
+        den = lcm(*(c.denominator for c in fracs.values()))  # a zero adds 1
+        self.num = {k: c.numerator * (den // c.denominator)
+                    for k, c in fracs.items() if c}
+        self.den = den
 
     @classmethod
     def zero(cls) -> "InvariantElement":
@@ -131,14 +167,26 @@ class InvariantElement:
     def orbit_sum(cls, m: DominantWeight, c=1) -> "InvariantElement":
         return cls({m: Fraction(c)})
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """The coefficients as a read-only {DominantWeight: Fraction}, in key order."""
+        den = self.den
+        return MappingProxyType(
+            {_key_weight(k): Fraction(v, den) for k, v in sorted(self.num.items())}
+        )
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def support(self) -> list[DominantWeight]:
-        return sorted(self.terms)
+        return [_key_weight(k) for k in sorted(self.num)]
 
     def coeff(self, m: DominantWeight) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+        try:
+            v = self.num.get(_key(m.d), 0)
+        except BudgetError:  # no stored row lies outside the byte range
+            v = 0
+        return Fraction(v, self.den)
 
     def __add__(self, other: "InvariantElement") -> "InvariantElement":
         return lincomb(((1, self), (1, other)))
@@ -154,10 +202,9 @@ class InvariantElement:
 
     def dilate(self, c: int) -> "InvariantElement":
         """The substitution z -> c·z: orb(m) -> orb(c·m) for a positive integer c."""
-        rows = c * np.array([m.d for m in self.terms], dtype=np.int64)
-        out = InvariantElement()
-        out.terms = dict(zip(DominantWeight._from_rows(rows), self.terms.values()))
-        return out
+        keys = np.fromiter(self.num, dtype=np.uint64, count=len(self.num))
+        dilated = _pack(c * _unpack(keys)).tolist()
+        return _element(dict(zip(dilated, self.num.values())), self.den)
 
     __rmul__ = scale
 
@@ -167,7 +214,11 @@ class InvariantElement:
         return self.scale(other)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, InvariantElement) and self.terms == other.terms
+        return (
+            isinstance(other, InvariantElement)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __repr__(self) -> str:
         return f"<InvariantElement {self.display_str()}>"
@@ -176,16 +227,17 @@ class InvariantElement:
 
     def eval_zero(self) -> Fraction:
         """Value at z = 0: every exponential becomes 1, so sum c(m)·|orb(m)|."""
-        return sum(
-            (c * orbit_size(m) for m, c in self.terms.items()), Fraction(0)
+        return Fraction(
+            sum(v * orbit_size(_key_weight(k)) for k, v in self.num.items()), self.den
         )
 
     def norm_moment(self) -> Fraction:
         """Sum over all orbit elements of coefficient times (l,l)."""
-        return sum(
-            (c * orbit_size(m) * m.norm() for m, c in self.terms.items()),
-            Fraction(0),
-        )
+        total = 0
+        for k, v in self.num.items():
+            m = _key_weight(k)
+            total += v * orbit_size(m) * m.norm()
+        return Fraction(total, self.den)
 
     def t_support_check(self, t: int) -> tuple[bool, list[DominantWeight]]:
         """True iff every support point m has (m, highest root) <= t."""
@@ -203,11 +255,12 @@ class InvariantElement:
         """
         labelled = []
         const = None
-        for m in self.terms:
-            if m == ZERO:
-                const = (None, self.terms[m])
+        for k, v in self.num.items():
+            if k == _ZERO_KEY:
+                const = (None, Fraction(v, self.den))
             else:
-                disp = self.terms[m] * Fraction(orbit_size(m), 240)
+                m = _key_weight(k)
+                disp = Fraction(v * orbit_size(m), 240 * self.den)
                 labelled.append((m.norm(), sigma_label(m), disp))
         labelled.sort(key=lambda x: (x[0], x[1]))
         out: list[tuple[str | None, Fraction]] = [
@@ -251,18 +304,17 @@ class InvariantElement:
         map; always palindromic since -1 lies in the Weyl group.
         """
         vd = np.array(v.d, dtype=np.int64)
-        out: dict[int, Fraction] = {}
-        for m, c in self.terms.items():
-            dots = (orbit_array(m) @ vd) // 4
+        out: dict[int, int] = {}
+        for key, c in self.num.items():
+            dots = (orbit_array(_key_weight(key)) @ vd) // 4
             exps, counts = np.unique(dots, return_counts=True)
-            for e, k in zip(exps, counts):
-                e = int(e)
-                val = out.get(e, Fraction(0)) + c * int(k)
+            for e, k in zip(exps.tolist(), counts.tolist()):
+                val = out.get(e, 0) + c * k
                 if val:
                     out[e] = val
                 elif e in out:
                     del out[e]
-        return out
+        return {e: Fraction(val, self.den) for e, val in out.items()}
 
     # -- serialization --------------------------------------------------------
 
@@ -270,7 +322,7 @@ class InvariantElement:
         return {
             "terms": [
                 {"fw": list(m.fw), "coeff": format_rational(c)}
-                for m, c in sorted(self.terms.items())
+                for m, c in self.terms.items()
             ]
         }
 
@@ -284,22 +336,32 @@ class InvariantElement:
         )
 
 
+def _sum(parts, den: int) -> InvariantElement:
+    """The sum of s·num over the (integer s, numerator dict num) parts, over
+    den: accumulated as integers in one dict and reduced once."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for s, num in parts:
+        for k, v in num.items():
+            acc[k] = get(k, 0) + s * v
+    return _element(acc, den)
+
+
 def lincomb(pairs) -> InvariantElement:
-    """The sum of c·x over the (c, x) pairs, accumulated in one dict with zero
-    sums pruned. The coefficients of x are Fractions already: only c is coerced."""
-    acc: dict[DominantWeight, Fraction] = {}
+    """The sum of c·x over the (c, x) pairs, for rationals c: the numerators
+    of x times c.numerator accumulate over L = lcm of every c.denominator·x.den."""
+    parts = []
     for c, x in pairs:
-        c = Fraction(c)
-        if not c:
-            continue
-        scaled = x.terms.items() if c == 1 else (
-            (m, c * v) for m, v in x.terms.items()
-        )
-        for m, v in scaled:
-            acc[m] = acc[m] + v if m in acc else v
-    out = InvariantElement()
-    out.terms = {m: v for m, v in acc.items() if v}
-    return out
+        if type(c) is int:
+            a, b = c, 1
+        else:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            a, b = c.numerator, c.denominator
+        if a and x.num:
+            parts.append((a, b * x.den, x.num))
+    den = lcm(*(d for _, d, _ in parts))
+    return _sum(((a * (den // d), num) for a, d, num in parts), den)
 
 
 def _display_unit(label: str | None) -> InvariantElement:
@@ -330,7 +392,9 @@ def from_display(pairs) -> InvariantElement:
 # subgroup on J ∩ Z(a), Z(a) = {i : (α_i, a) = 0} (Humphreys §1.10–1.12).
 # So U_m sums the weights |W_J|/|W_{J∩Z(a)}| over the J-dominant a with
 # reduce(a + m2) = m. The weights must add up to |orbit(m1)|, which is
-# checked on every call.
+# checked on every call. A product of orbit sums has integer coefficients
+# (each counts the pairs (a, b) with a + b = m), so |orb(m)| must divide
+# |orb(m2)|·U_m; that is checked on every call too.
 
 
 @functools.cache
@@ -357,18 +421,29 @@ def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElem
     shifted = rows[keep] + np.array(m2.d, dtype=np.int64)
     keys, counts = _sum_by_key(_pack(_batch_reduce(shifted)), weights)
     size2 = orbit_size(m2)
-    out = InvariantElement()
-    for m, u in zip(DominantWeight._from_rows(_unpack(keys)), counts.tolist()):
-        out.terms[m] = Fraction(u * size2, orbit_size(m))
-    return out
+    num = {}
+    for k, u in zip(keys.tolist(), counts.tolist()):
+        q, r = divmod(u * size2, orbit_size(_key_weight(k)))
+        if r:
+            raise CertificationError(
+                "a product of orbit sums has a coefficient that is not an integer"
+            )
+        num[k] = q
+    return _element(num, 1)
 
 
 def inv_mul(x: InvariantElement, y: InvariantElement) -> InvariantElement:
-    """Product of two invariant elements, re-expressed in orbit sums. Each
-    orbit pair goes smaller orbit first; the sort is stable, so a tie keeps
-    the order of the factors."""
-    return lincomb(
-        (c1 * c2, _orbit_pair_product(*sorted((m1, m2), key=orbit_size)))
-        for m1, c1 in x.terms.items()
-        for m2, c2 in y.terms.items()
+    """Product of two invariant elements, re-expressed in orbit sums: the
+    integer numerators c1·c2 of each orbit pair over x.den·y.den. Each orbit
+    pair goes smaller orbit first; the sort is stable, so a tie keeps the
+    order of the factors."""
+    pairs = (
+        (c1 * c2, _key_weight(k1), _key_weight(k2))
+        for k1, c1 in x.num.items()
+        for k2, c2 in y.num.items()
+    )
+    return _sum(
+        ((c, _orbit_pair_product(*sorted((m1, m2), key=orbit_size)).num)
+         for c, m1, m2 in pairs),
+        x.den * y.den,
     )

@@ -12,22 +12,25 @@ rather than silently return fewer correct terms than requested.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
 from .e8 import (
     HIGHEST_ROOT,
-    ZERO,
     DominantWeight,
     E8Vector,
     _batch_reduce,
+    _key_weight,
+    _pack,
+    _unpack,
     coset_min_norm,
     dominant_reduce,
     orbit_array,
     shell,
 )
-from .invring import InvariantElement, lincomb
+from .invring import _ZERO_KEY, InvariantElement, _element, lincomb
 from .qseries import ModularQSeries, eisenstein
 
 __all__ = [
@@ -45,6 +48,14 @@ __all__ = [
     "weight0_identity",
     "check_quasi_periodicity",
 ]
+
+
+@functools.cache
+def _norm_over_coset_min(key: int, t: int) -> int:
+    """(l,l) - coset_min_norm(l, t) for the dominant row l of the packed key:
+    a stored q^n coefficient at l needs 2nt at least this."""
+    m = _key_weight(key)
+    return m.norm() - coset_min_norm(m, t)
 
 
 class JacobiQExpansion:
@@ -69,20 +80,21 @@ class JacobiQExpansion:
         self.weight = int(weight)
         self.index = int(index)
         self.terms = list(terms)
+        t = self.index
         for n, elem in enumerate(self.terms):
-            for m in elem.terms:
-                if self.index == 0:
-                    if m != ZERO:
-                        raise ValueError(
-                            f"index-0 form with non-trivial orbit at q^{n}"
-                        )
-                else:
-                    slack = 2 * n * self.index - m.norm()
-                    if slack < -coset_min_norm(m, self.index):
-                        raise ValueError(
-                            f"support bound violated at q^{n}, fw={m.fw}: "
-                            f"2nt - (l,l) = {slack} below coset minimum"
-                        )
+            if t == 0:
+                if any(k != _ZERO_KEY for k in elem.num):
+                    raise ValueError(
+                        f"index-0 form with non-trivial orbit at q^{n}"
+                    )
+                continue
+            for k in elem.num:
+                if 2 * n * t < _norm_over_coset_min(k, t):
+                    m = _key_weight(k)
+                    raise ValueError(
+                        f"support bound violated at q^{n}, fw={m.fw}: "
+                        f"2nt - (l,l) = {2 * n * t - m.norm()} below coset minimum"
+                    )
 
     @property
     def order(self) -> int:
@@ -209,7 +221,7 @@ def jf_mul(a: JacobiQExpansion, b: JacobiQExpansion) -> JacobiQExpansion:
         lincomb(
             (1, a.terms[i] * b.terms[k - i])
             for i in range(k + 1)
-            if a.terms[i].terms and b.terms[k - i].terms
+            if a.terms[i].num and b.terms[k - i].num
         )
         for k in range(min(a.order, b.order) + 1)
     ]
@@ -259,8 +271,9 @@ def heat(a: JacobiQExpansion) -> JacobiQExpansion:
 
     Acts orbit-diagonally: the pure heat part multiplies the coefficient at
     (n, l) by n - (l,l)/(2t) — well-defined per orbit since it depends on l
-    only through its norm — and the quasi-modular correction adds
-    ((4-k)/12)·E2 times the form.
+    only through its norm; on the stored numerators that is a factor
+    2nt - (l,l) over a denominator 2t times larger — and the quasi-modular
+    correction adds ((4-k)/12)·E2 times the form.
     """
     t = a.index
     if t == 0:
@@ -269,8 +282,10 @@ def heat(a: JacobiQExpansion) -> JacobiQExpansion:
     e2 = eisenstein(2, a.order) * Fraction(4 - k, 12)
     terms = [
         lincomb(
-            [(1, InvariantElement(
-                {m: c * (n - Fraction(m.norm(), 2 * t)) for m, c in x.terms.items()}
+            [(1, _element(
+                {key: c * (2 * n * t - _key_weight(key).norm())
+                 for key, c in x.num.items()},
+                2 * t * x.den,
             ))]
             + [(e2[i], a.terms[n - i]) for i in range(n + 1)]
         )
@@ -347,7 +362,8 @@ def classify(a: JacobiQExpansion) -> ClassifyResult:
     witness = None
     min_slack = None
     for n in range(a.order + 1):
-        for m in sorted(a.terms[n].terms, key=lambda m: (m.norm(), m.d)):
+        support = map(_key_weight, a.terms[n].num)
+        for m in sorted(support, key=lambda m: (m.norm(), m.d)):
             slack = 2 * n * t - m.norm()
             if min_slack is None or slack < min_slack:
                 min_slack = slack
@@ -396,14 +412,11 @@ def check_quasi_periodicity(
         raise ValueError("quasi-periodicity concerns index >= 1")
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    pool = sorted(
-        (n, m.d) for n in range(a.order + 1) for m in a.terms[n].terms
-    )
+    pool = sorted((n, k) for n in range(a.order + 1) for k in a.terms[n].num)
     if not pool:
         return 0
-    coeffs = [{m.d: c for m, c in term.terms.items()} for term in a.terms]
     ns = np.array([n for n, _ in pool], dtype=np.int64)
-    rows = np.array([d for _, d in pool], dtype=np.int64)
+    rows = _unpack(np.array([k for _, k in pool], dtype=np.uint64))
     roots = orbit_array(DominantWeight(HIGHEST_ROOT))
     shifts = np.concatenate([roots, 2 * roots])
     ww = np.repeat(np.array([1, 4], dtype=np.int64), len(roots))  # (v,v)/2
@@ -415,14 +428,16 @@ def check_quasi_periodicity(
         raise RuntimeError("no checkable triple at this truncation")
     pick = np.random.default_rng(seed).permutation(len(src))[:samples]
     src, shift = src[pick], shift[pick]
-    images = _batch_reduce(rows[src] + t * shifts[shift])
-    for i, n2, img in zip(src.tolist(), n2_all[src, shift].tolist(), images.tolist()):
-        n, d = pool[i]
-        lhs = coeffs[n][d]
-        rhs = coeffs[n2].get(tuple(img), 0)
-        if lhs != rhs:
+    images = _pack(_batch_reduce(rows[src] + t * shifts[shift])).tolist()
+    terms = a.terms
+    for i, n2, img in zip(src.tolist(), n2_all[src, shift].tolist(), images):
+        n, key = pool[i]
+        lhs, rhs = terms[n], terms[n2]
+        # lhs.num[key] / lhs.den against rhs.num[img] / rhs.den
+        if lhs.num[key] * rhs.den != rhs.num.get(img, 0) * lhs.den:
             raise AssertionError(
-                f"quasi-periodicity broken: f({n},{d}) = {lhs} but "
-                f"f({n2},{tuple(img)}) = {rhs}"
+                f"quasi-periodicity broken: f({n},{_key_weight(key).d}) = "
+                f"{Fraction(lhs.num[key], lhs.den)} but f({n2},"
+                f"{_key_weight(img).d}) = {Fraction(rhs.num.get(img, 0), rhs.den)}"
             )
     return len(pick)

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from math import gcd
 
 import pytest
 
@@ -36,3 +37,11 @@ def cold_memos():
     _clear_memos()
     yield _clear_memos
     _clear_memos()
+
+
+def assert_canonical(x):
+    """An InvariantElement's coefficient format: integer numerators, none
+    zero, over a positive denominator in lowest terms."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(v) is int and v for v in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1

@@ -103,11 +103,11 @@ def orbit_pair_product_by_full_orbit(
         return InvariantElement.orbit_sum(m1)
     shifted = orbit_array(m1) + np.array(m2.d, dtype=np.int64)
     keys, counts = np.unique(_pack(_batch_reduce(shifted)), return_counts=True)
-    out = InvariantElement()
+    terms = {}
     for rep, u in zip(_unpack(keys), counts):
         m = DominantWeight(E8Vector(rep))
-        out.terms[m] = Fraction(int(u) * orbit_size(m2), orbit_size(m))
-    return out
+        terms[m] = Fraction(int(u) * orbit_size(m2), orbit_size(m))
+    return InvariantElement(terms)
 
 
 def inv_mul_brute(m1: DominantWeight, m2: DominantWeight) -> dict[DominantWeight, Fraction]:

@@ -44,10 +44,14 @@ from e8jac.catalog import (
     parse_recipe,
     weak_generator_names,
 )
-from e8jac.e8 import BUDGET_ENV, BudgetError, E8Vector, _batch_reduce, orbit_size
+from e8jac.e8 import (
+    BUDGET_ENV, BudgetError, E8Vector, _batch_reduce, _key, _key_weight, _pack,
+    orbit_size,
+)
 from e8jac.invring import SIGMA_LABELS, InvariantElement
 from e8jac.jacobi import JacobiQExpansion, heat, jf_div_modular, jf_lincomb, jf_scale
 from e8jac.qseries import ModularQSeries, delta, eisenstein
+from conftest import assert_canonical
 from oracles import (
     _theta_pair_block,
     free_module_report_by_forms,
@@ -364,7 +368,8 @@ def test_free_module_matches_form_oracle(t, order):
 def test_integer_candidates_are_scaled_candidate_forms(t):
     order = default_order(t)
     gens = [build(g, order) for g in weak_generator_names(t)]
-    orbits, blocks = _integer_blocks(gens)
+    keys, blocks = _integer_blocks(gens)
+    orbits = [_key_weight(k) for k in keys]
     for w in range(min(g.weight for g in gens), 17, 2):
         rows, scales = _integer_candidates(w, gens, blocks, order)
         cands = _weight_candidates(w, t, order)
@@ -616,6 +621,36 @@ def test_catalog_pin_default_order(name):
 @pytest.mark.parametrize("name", sorted(_PINS_ORDER_4))
 def test_catalog_pin_order_4(name):
     assert _sha(build(name, 4)) == _PINS_ORDER_4[name]
+
+
+def test_built_forms_are_canonical():
+    # every stored coefficient is an integer numerator over its q-power's one
+    # denominator, keyed by the packed row of a dominant weight
+    names = sorted(n for n, e in REGISTRY.items() if e.buildable)
+    assert len(names) == 46
+    for name in names:
+        for term in build(name).terms:
+            assert_canonical(term)
+            keys = list(term.num)
+            rows = np.array([_key_weight(k).d for k in keys], dtype=np.int64)
+            assert _pack(rows.reshape(-1, 8)).tolist() == keys
+            assert [_key(_key_weight(k).d) for k in keys] == keys
+
+
+def test_recipe_orders_are_checked_before_any_term_is_built(monkeypatch, cold_memos):
+    # b4 = 1/33 b2|T₋(2) + 2/55 Δ phi_-6_4: at order 12 its second term needs
+    # phi_-16_4 at order 12, past the theta quotient's cap, and that is
+    # found before the costly first term (b2 at order 24) is built
+    import e8jac.catalog as catalog
+
+    terms = []
+    real = catalog._term
+    monkeypatch.setattr(catalog, "_term", lambda t, n: terms.append(t) or real(t, n))
+    with pytest.raises(ValueError, match=r"theta-quotient construction supports orders 0\.\.3"):
+        build("b4", 12)
+    assert terms == []
+    assert build("b4", 1).order == 1
+    assert terms
 
 
 # ---------------------------------------------------------------------------

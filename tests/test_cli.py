@@ -183,6 +183,22 @@ def test_solve_cascade_trivial(capsys):
     assert out.strip() == "nullspace: trivial"
 
 
+@pytest.mark.parametrize("norms,item", [("0,,2", "''"), ("0,2,x4", "'x4'")])
+def test_solve_cascade_bad_norms_item_is_one_usage_error(capsys, norms, item):
+    code, out, err = run(capsys, "solve-cascade", "--t", "3", "--w0", "-8",
+                         "--norms", norms)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --norms item {item} is not an integer"]
+
+
+def test_expand_past_the_theta_quotient_cap_is_one_usage_error(capsys):
+    # b4 at order 12 reaches phi_-16_4 at order 12 through phi_-6_4
+    code, out, err = run(capsys, "expand", "--form", "b4", "--order", "12")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: theta-quotient construction supports orders 0..3"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 

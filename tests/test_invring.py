@@ -25,6 +25,7 @@ from e8jac import (
     sigma_label,
     SIGMA_LABELS,
 )
+from conftest import assert_canonical
 from oracles import (
     inv_mul_brute,
     inv_mul_by_membership,
@@ -126,6 +127,32 @@ def test_pair_product_weight_sum_is_certified_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == (
         "W_J-orbit weights disagree with the orbit size of the first factor")
+
+
+def test_pair_product_integrality_is_certified_under_optimize():
+    # every orbit size but that of the factor w8 is off by one, so the
+    # count on orb(w1) no longer divides into an integer coefficient
+    code = (
+        "import e8jac.invring as inv\n"
+        "from e8jac import CertificationError, DominantWeight\n"
+        "w8 = DominantWeight.from_fw((0,) * 7 + (1,))\n"
+        "size = inv.orbit_size\n"
+        "inv.orbit_size = lambda m: size(m) + (m != w8)\n"
+        "try:\n"
+        "    inv._orbit_pair_product(w8, w8)\n"
+        "except CertificationError as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("E8JAC_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "a product of orbit sums has a coefficient that is not an integer")
 
 
 def test_deep_build_reduces_one_row_per_stabilizer_orbit(monkeypatch, cold_memos):
@@ -258,11 +285,11 @@ _POOL = ["Σ_2", "Σ_4", "Σ_6", "Σ_{8''}", None]
 
 
 @st.composite
-def small_elements(draw):
+def small_elements(draw, max_den=4):
     pairs = []
     for lab in _POOL:
         c = draw(st.integers(min_value=-9, max_value=9))
-        d = draw(st.integers(min_value=1, max_value=4))
+        d = draw(st.integers(min_value=1, max_value=max_den))
         if c:
             pairs.append((lab, Fraction(c, d)))
     return from_display(pairs)
@@ -282,20 +309,40 @@ def test_eval_zero_homomorphism(x, y):
     assert (x + y).eval_zero() == x.eval_zero() + y.eval_zero()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.lists(
-    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=6),
-              small_elements()),
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=10**6),
+              small_elements(10**6)),
     max_size=4,
 ))
 def test_lincomb_matches_fold(pairs):
     total = lincomb(pairs)
     assert total == lincomb_by_fold(pairs)
+    assert_canonical(total)
     assert all(type(v) is Fraction and v for v in total.terms.values())
     # every summand cancelled: the zero element, with no terms left
     cancelled = lincomb(pairs + [(-c, x) for c, x in pairs])
     assert cancelled.terms == {}
+    assert (cancelled.num, cancelled.den) == ({}, 1)
     assert cancelled == lincomb_by_fold(pairs + [(-c, x) for c, x in pairs])
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_elements(10**6), small_elements(10**6))
+def test_products_and_constructor_are_canonical(x, y):
+    assert_canonical(x)
+    assert_canonical(inv_mul(x, y))
+    assert InvariantElement(dict(x.terms)) == x
+    assert InvariantElement(x.terms).terms == x.terms
+
+
+def test_terms_is_a_read_only_view_in_key_order():
+    e = from_display([("Σ_4", Fraction(1, 3)), ("Σ_2", 2), (None, -1)])
+    assert list(e.terms) == sorted(e.terms)
+    with pytest.raises(TypeError):
+        e.terms[W8] = Fraction(1)
+    assert e.coeff(W8) == Fraction(2 * 240, 240)
+    assert e.coeff(E8Vector((254, 2) + (0,) * 6)) == 0  # outside the byte range
 
 
 def test_dilate_maps_orbits_to_multiples():
