@@ -115,7 +115,7 @@ def _display_coeff(elem: InvariantElement, label: str) -> Fraction:
 # exponent to its keys (a byte per A, e8._pack's layout) and int64 values.
 
 # int16 holds 2(A_1 ± A_2) for any byte-range A, at a quarter of int64's
-# memory on the raw rows of the top q-power.
+# memory on the raw rows of each eight-factor pair.
 _FRAME = np.kron(np.eye(4, dtype=np.int16), np.array([[2, 2], [2, -2]], dtype=np.int16))
 _NO_TERMS = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
 
@@ -124,6 +124,8 @@ def _theta_square(cap: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """theta(w)^2 as a table, the terms of exponent at most cap."""
     seed: dict[int, dict[int, int]] = {}
     r = isqrt(cap)
+    if r > 127:  # every A in [-r, r] is keyed as the byte A + 128
+        raise BudgetError("theta-quotient seed exponent outside the byte range [-128, 127]")
     for a in range(-r, r + 1):
         for d in range(-r, r + 1):
             e = a * a + d * d
@@ -146,34 +148,44 @@ def _check_int64(vals: np.ndarray) -> None:
         raise CertificationError("theta product coefficients would overflow int64")
 
 
-def _fold(table, width: int, keep) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The square of a table at the exponents in keep: a product term's key
-    is its factors' keys concatenated, first factor high, width bits each.
+def _concat(width: int):
+    """Product keys as the factors' keys concatenated, first factor high,
+    width bits each."""
+    return lambda k1, k2: ((k1[:, None] << width) | k2).ravel()
 
-    Every coefficient of the square, and every sum of them within one
-    exponent, is certified to fit int64 before any product is taken.
+
+def _d8_canonical(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Product keys of four-factor terms: the packed W(D8)-canonical E8 row
+    (W(D8) lies in W(E8)) of the eight factors' exponents."""
+    raw = _unpack(_concat(32)(k1, k2)).astype(np.int16)
+    return _pack(_dn_canonical(raw @ _FRAME))
+
+
+def _fold(table, keep, key, spent: int):
+    """The square of a table at the exponents in keep, and spent plus the
+    product rows it forms. Each exponent's products are keyed by key and
+    summed into a running total one factor pair at a time.
+
+    Before any product is formed, every coefficient of the square, and every
+    sum of them within one exponent, is certified to fit int64, and a total
+    past the element budget raises BudgetError.
     """
     _check_int64(np.concatenate([v for _, v in table.values()]))
+    pairs = {e: [(table[a], table[e - a]) for a in table if e - a in table]
+             for e in keep}
+    spent += sum(len(k1) * len(k2) for ps in pairs.values() for (k1, _), (k2, _) in ps)
+    limit = element_budget()
+    if spent > limit:
+        raise BudgetError(f"theta quotient would form {spent} product rows, "
+                          f"over element budget {limit}")
     out = {}
-    for e in keep:
-        pairs = [(table[a], table[e - a]) for a in table if e - a in table]
-        out[e] = _sum_by_key(
-            np.concatenate([_NO_TERMS[0]] + [
-                ((k1[:, None] << width) | k2).ravel() for (k1, _), (k2, _) in pairs
-            ]),
-            np.concatenate([_NO_TERMS[1]] + [
-                np.outer(v1, v2).ravel() for (_, v1), (_, v2) in pairs
-            ]),
-        )
-    return out
-
-
-# The theta quotient is built at orders 0.._PHI16_4_MAX_ORDER; every recipe
-# that reaches phi_-16_4 is held to it before any of its terms is built.
-_PHI16_4_MAX_ORDER = 3
-_PHI16_4_ORDER_ERROR = (
-    f"theta-quotient construction supports orders 0..{_PHI16_4_MAX_ORDER}"
-)
+    for e, ps in pairs.items():
+        keys, vals = _NO_TERMS
+        for (k1, v1), (k2, v2) in ps:
+            keys, vals = _sum_by_key(np.concatenate([keys, key(k1, k2)]),
+                                     np.concatenate([vals, np.outer(v1, v2).ravel()]))
+        out[e] = keys, vals
+    return out, spent
 
 
 def build_phi16_4(order: int) -> JacobiQExpansion:
@@ -184,25 +196,25 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
     onto Weyl invariants by orbit-averaging the raw coefficients, and
     normalizes the q^0 display coefficient of Σ_{16'} to 1.
 
-    The seed table is folded to two, four and, per q-power, eight factors.
-    Each q-power's raw rows are summed by W(D8)-canonical row first
-    (W(D8) lies in W(E8)), and only those rows are dominant-reduced.
+    The seed table is folded to two, four and, per q-power, eight factors;
+    the last fold bins by W(D8)-canonical row, and only those rows are
+    dominant-reduced. Every product row is charged against the element
+    budget before it is formed: the default budget builds orders 0..3, and
+    order 4 raises BudgetError before its last fold.
     """
-    if order < 0 or order > _PHI16_4_MAX_ORDER:
-        raise ValueError(_PHI16_4_ORDER_ERROR)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     n_num = order + 2
     # every factor has exponent >= 1 and the eight sum to at most 4 * n_num
-    two = _fold(_theta_square(4 * n_num - 7), 8, range(4 * n_num - 5))
-    four = _fold(two, 16, range(4 * n_num - 3))
+    two, spent = _fold(_theta_square(4 * n_num - 7), range(4 * n_num - 5), _concat(8), 0)
+    four, spent = _fold(two, range(4 * n_num - 3), _concat(16), spent)
     # a factor's exponent A^2 + delta^2 is 1 mod 4, so four factors' is 0 mod 4
     if any(e % 4 and len(k) for e, (k, _) in four.items()):
         raise CertificationError("odd doubled q-exponent in the theta product")
+    eight, _ = _fold(four, range(0, 4 * n_num + 1, 4), _d8_canonical, spent)
 
     terms = []
-    for n in range(n_num + 1):
-        keys, vals = _fold(four, 32, (4 * n,))[4 * n]
-        rows = _dn_canonical(_unpack(keys).astype(np.int16) @ _FRAME)
-        keys, vals = _sum_by_key(_pack(rows), vals)
+    for keys, vals in eight.values():
         keys, vals = _sum_by_key(_pack(_batch_reduce(_unpack(keys))), vals)
         keys = keys.tolist()
         # the coefficient of orb(m) is the raw total over |orb(m)|
@@ -284,17 +296,8 @@ class Recipe:
     terms: tuple[Term, ...]
     over_delta: bool = False
 
-    def inputs(self, n: int) -> list[tuple[str, int]]:
-        """(registry name, order) of every factor built to evaluate to order n:
-        a term with T₋(s) builds its factors at order s·k, where k = n + 1
-        for a recipe over Δ and k = n otherwise."""
-        k = n + 1 if self.over_delta else n
-        return [(name, t.lift * k) for t in self.terms for name in t.factors]
-
     def __call__(self, n: int) -> JacobiQExpansion:
-        """Evaluate the recipe to order n, once every input order is checked."""
-        for name, order in self.inputs(n):
-            _check_orders(name, order)
+        """Evaluate the recipe to order n."""
         k = n + 1 if self.over_delta else n
         parts = [_term(t, k) for t in self.terms]
         _check_kinds(f for _, f in parts)
@@ -554,21 +557,8 @@ def build(name: str, order: int | None = None) -> JacobiQExpansion:
 
 
 @cache
-def _check_orders(name: str, order: int) -> None:
-    """Raise, before anything is built, the ValueError that building the
-    registry form name at order would meet: walks the recipe inputs through
-    the registry down to phi_-16_4 and its order cap."""
-    if name == "phi_-16_4" and order > _PHI16_4_MAX_ORDER:
-        raise ValueError(_PHI16_4_ORDER_ERROR)
-    recipe = REGISTRY[name].builder
-    if isinstance(recipe, Recipe):
-        for factor, k in recipe.inputs(order):
-            _check_orders(factor, k)
-
-
-@cache
 def _build(name: str, order: int) -> JacobiQExpansion:
-    """Run the registry builder of a checked name and order, and its contract check."""
+    """Run the registry builder of a known name and order, and its contract check."""
     entry = REGISTRY[name]
     form = entry.builder(order)
     if form.order > order:

@@ -400,8 +400,9 @@ def _parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help=f"orbit/coset enumeration element budget (default 2000000; "
-             f"mirrors ${BUDGET_ENV})",
+        help=f"element budget of every enumeration: orbits, shells, cosets, "
+             f"the rank table and the theta quotient's product rows "
+             f"(default 2000000; mirrors ${BUDGET_ENV})",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -149,7 +149,9 @@ class InvariantElement:
     __slots__ = ("num", "den")
 
     def __init__(self, terms: dict[DominantWeight, Fraction] | None = None):
-        fracs = {_key(m.d): Fraction(c) for m, c in (terms or {}).items()}
+        # a key that is not a DominantWeight is checked: ValueError("not dominant: …")
+        fracs = {_key((m if isinstance(m, DominantWeight) else DominantWeight(m)).d):
+                 Fraction(c) for m, c in (terms or {}).items()}
         den = lcm(*(c.denominator for c in fracs.values()))  # a zero adds 1
         self.num = {k: c.numerator * (den // c.denominator)
                     for k, c in fracs.items() if c}
@@ -202,6 +204,8 @@ class InvariantElement:
 
     def dilate(self, c: int) -> "InvariantElement":
         """The substitution z -> c·z: orb(m) -> orb(c·m) for a positive integer c."""
+        if c < 1:
+            raise ValueError("dilation factor must be a positive integer")
         keys = np.fromiter(self.num, dtype=np.uint64, count=len(self.num))
         dilated = _pack(c * _unpack(keys)).tolist()
         return _element(dict(zip(dilated, self.num.values())), self.den)

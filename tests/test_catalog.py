@@ -49,7 +49,10 @@ from e8jac.e8 import (
     orbit_size,
 )
 from e8jac.invring import SIGMA_LABELS, InvariantElement
-from e8jac.jacobi import JacobiQExpansion, heat, jf_div_modular, jf_lincomb, jf_scale
+from e8jac.jacobi import (
+    JacobiQExpansion, check_quasi_periodicity, heat, jf_div_modular, jf_lincomb,
+    jf_scale,
+)
 from e8jac.qseries import ModularQSeries, delta, eisenstein
 from conftest import assert_canonical
 from oracles import (
@@ -637,20 +640,15 @@ def test_built_forms_are_canonical():
             assert [_key(_key_weight(k).d) for k in keys] == keys
 
 
-def test_recipe_orders_are_checked_before_any_term_is_built(monkeypatch, cold_memos):
-    # b4 = 1/33 b2|T₋(2) + 2/55 Δ phi_-6_4: at order 12 its second term needs
-    # phi_-16_4 at order 12, past the theta quotient's cap, and that is
-    # found before the costly first term (b2 at order 24) is built
-    import e8jac.catalog as catalog
-
-    terms = []
-    real = catalog._term
-    monkeypatch.setattr(catalog, "_term", lambda t, n: terms.append(t) or real(t, n))
-    with pytest.raises(ValueError, match=r"theta-quotient construction supports orders 0\.\.3"):
-        build("b4", 12)
-    assert terms == []
-    assert build("b4", 1).order == 1
-    assert terms
+def test_every_form_is_prefix_stable():
+    # a form built to order k is the order-k truncation of a deeper build
+    names = sorted(n for n, e in REGISTRY.items() if e.buildable)
+    assert len(names) == 46
+    for name in names:
+        top = 3 if REGISTRY[name].index == 4 else 6
+        deep = build(name, top)
+        for k in range(top):
+            assert build(name, k) == deep.truncate(k), (name, k)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +718,19 @@ _PINS_PHI16_4 = {
 @pytest.mark.parametrize("order", sorted(_PINS_PHI16_4))
 def test_phi16_4_pins(order):
     assert _sha(build_phi16_4(order)) == _PINS_PHI16_4[order]
+
+
+def test_phi16_4_past_the_default_budget_is_a_budget_error(monkeypatch):
+    # order 4 forms 2,458,056 product rows, past the default budget, and
+    # raises before its top fold; a budget of 3,000,000 builds it, and the
+    # result extends the order-3 pin and is quasi-periodic on every triple
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    with pytest.raises(BudgetError, match="2458056 product rows"):
+        build_phi16_4(4)
+    monkeypatch.setenv(BUDGET_ENV, "3000000")
+    form = build_phi16_4(4)
+    assert _sha(form.truncate(3)) == _PINS_PHI16_4[3]
+    assert check_quasi_periodicity(form, samples=10**6) == 6601
 
 
 def test_phi16_4_reduces_only_d8_canonical_rows(monkeypatch):

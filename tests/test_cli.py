@@ -191,12 +191,33 @@ def test_solve_cascade_bad_norms_item_is_one_usage_error(capsys, norms, item):
     assert err.splitlines() == [f"error: --norms item {item} is not an integer"]
 
 
-def test_expand_past_the_theta_quotient_cap_is_one_usage_error(capsys):
-    # b4 at order 12 reaches phi_-16_4 at order 12 through phi_-6_4
-    code, out, err = run(capsys, "expand", "--form", "b4", "--order", "12")
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("expand", "--form", "phi_-16_4", "--order", "4"),
+                 "theta quotient would form 2458056 product rows, "
+                 "over element budget 2000000", id="order-4"),
+    pytest.param(("--budget", "100000", "expand", "--form", "phi_-16_4",
+                  "--order", "2"),
+                 "theta quotient would form 260433 product rows, "
+                 "over element budget 100000", id="small-budget"),
+    pytest.param(("expand", "--form", "phi_-16_4", "--order", "5000"),
+                 "theta-quotient seed exponent outside the byte range [-128, 127]",
+                 id="byte-range"),
+])
+def test_theta_quotient_past_the_budget_is_one_usage_error(capsys, monkeypatch,
+                                                           cold_memos, argv, message):
+    # every product row of the theta quotient is charged against the budget,
+    # and an order whose seed exponents leave the byte range fails at once
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.splitlines() == [
-        "error: theta-quotient construction supports orders 0..3"]
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_theta_quotient_past_order_3_builds_under_a_larger_budget(capsys, cold_memos):
+    code, out, err = run(capsys, "--budget", "3000000", "expand", "--form",
+                         "phi_0_4", "--order", "4")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 5
 
 
 # ---------------------------------------------------------------------------

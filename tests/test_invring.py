@@ -351,6 +351,22 @@ def test_dilate_maps_orbits_to_multiples():
     assert e.dilate(1) == e
 
 
+@pytest.mark.parametrize("c", [0, -1])
+def test_dilate_by_a_nonpositive_factor_is_refused(c):
+    # z -> 0·z would collapse orb(w8) + orb(w1) to the constant 2400, and
+    # z -> -z would store the non-dominant images of w8 and w1
+    x = InvariantElement({W8: 1, W1: 1})
+    with pytest.raises(ValueError, match="positive integer"):
+        x.dilate(c)
+
+
+def test_constructor_refuses_a_non_dominant_key():
+    # (2, -2, 0, ..., 0) is a root in the orbit of w8, not its dominant row
+    with pytest.raises(ValueError, match=r"not dominant: \(2, -2, 0, 0, 0, 0, 0, 0\)"):
+        InvariantElement({E8Vector((2, -2, 0, 0, 0, 0, 0, 0)): 1})
+    assert InvariantElement({E8Vector(W8.d): 1}) == InvariantElement.orbit_sum(W8)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
