@@ -109,14 +109,17 @@ def _display_coeff(elem: InvariantElement, label: str) -> Fraction:
 #     theta(w)^2 = -sum_A (-1)^A S_A(q) xi^A,
 #     S_A = sum over delta = A+1 mod 2 of q^((A^2+delta^2)/4).
 # So the product is the eight-fold power of one one-variable table, and the
-# exponent row (A_1, ..., A_8) of xi = zeta_u zeta_v, zeta_u/zeta_v per pair
-# is the E8 row 2(A_1+A_2, A_1-A_2, A_3+A_4, ...) in doubled coordinates.
-# q-exponents are kept times 4, so they are integers. A table maps such an
-# exponent to its keys (a byte per A, e8._pack's layout) and int64 values.
+# exponents (A_1, A_2) of xi = zeta_u zeta_v, zeta_u/zeta_v in one pair are
+# the doubled E8 columns 2(A_1+A_2, A_1-A_2) of that pair.
+# q-exponents are kept times 4, so they are integers. A table of w factors
+# maps such an exponent to int64 values and uint64 keys whose last w bytes
+# hold a row offset by 128, as in e8._pack: the seed's row is (A), and a
+# table of 2, 4 or 8 factors keys each term by its W(D_w)-canonical E8 row.
+# Binning every level by canonical row is exact: for g_1, g_2 in W(D_w),
+# (g_1 x, g_2 y) = (g_1 + g_2)(x, y) with g_1 + g_2 in W(D_2w), and W(D8)
+# lies in W(E8), so each product lands in the W(E8)-orbit bin of its raw row.
 
-# int16 holds 2(A_1 ± A_2) for any byte-range A, at a quarter of int64's
-# memory on the raw rows of each eight-factor pair.
-_FRAME = np.kron(np.eye(4, dtype=np.int16), np.array([[2, 2], [2, -2]], dtype=np.int16))
+_PAIR = np.array([[2, 2], [2, -2]], dtype=np.int64)
 _NO_TERMS = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
 
 
@@ -148,17 +151,19 @@ def _check_int64(vals: np.ndarray) -> None:
         raise CertificationError("theta product coefficients would overflow int64")
 
 
-def _concat(width: int):
-    """Product keys as the factors' keys concatenated, first factor high,
-    width bits each."""
-    return lambda k1, k2: ((k1[:, None] << width) | k2).ravel()
-
-
-def _d8_canonical(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Product keys of four-factor terms: the packed W(D8)-canonical E8 row
-    (W(D8) lies in W(E8)) of the eight factors' exponents."""
-    raw = _unpack(_concat(32)(k1, k2)).astype(np.int16)
-    return _pack(_dn_canonical(raw @ _FRAME))
+def _join(w: int):
+    """Product keys of two w-factor tables: the packed W(D_2w)-canonical E8
+    row of the factors' rows side by side, in the last 2w columns."""
+    def key(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+        r1, r2 = _unpack(k1)[:, 8 - w:], _unpack(k2)[:, 8 - w:]
+        rows = np.concatenate([np.repeat(r1, len(r2), axis=0),
+                               np.tile(r2, (len(r1), 1))], axis=1)
+        if w == 1:
+            rows = rows @ _PAIR
+        out = np.zeros((len(rows), 8), dtype=np.int64)
+        out[:, 8 - 2 * w:] = _dn_canonical(rows)
+        return _pack(out)
+    return key
 
 
 def _fold(table, keep, key, spent: int):
@@ -196,22 +201,22 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
     onto Weyl invariants by orbit-averaging the raw coefficients, and
     normalizes the q^0 display coefficient of Σ_{16'} to 1.
 
-    The seed table is folded to two, four and, per q-power, eight factors;
-    the last fold bins by W(D8)-canonical row, and only those rows are
-    dominant-reduced. Every product row is charged against the element
-    budget before it is formed: the default budget builds orders 0..3, and
-    order 4 raises BudgetError before its last fold.
+    The seed table is folded to two, four and, per q-power, eight factors,
+    each fold binned by W(D_w)-canonical row, and only the eight-factor
+    rows are dominant-reduced. Every product row is charged against the
+    element budget before it is formed: the default budget builds orders
+    0..18 (order 18 forms 1,570,857 rows), and order 19 raises BudgetError.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     n_num = order + 2
     # every factor has exponent >= 1 and the eight sum to at most 4 * n_num
-    two, spent = _fold(_theta_square(4 * n_num - 7), range(4 * n_num - 5), _concat(8), 0)
-    four, spent = _fold(two, range(4 * n_num - 3), _concat(16), spent)
+    two, spent = _fold(_theta_square(4 * n_num - 7), range(4 * n_num - 5), _join(1), 0)
+    four, spent = _fold(two, range(4 * n_num - 3), _join(2), spent)
     # a factor's exponent A^2 + delta^2 is 1 mod 4, so four factors' is 0 mod 4
     if any(e % 4 and len(k) for e, (k, _) in four.items()):
         raise CertificationError("odd doubled q-exponent in the theta product")
-    eight, _ = _fold(four, range(0, 4 * n_num + 1, 4), _d8_canonical, spent)
+    eight, _ = _fold(four, range(0, 4 * n_num + 1, 4), _join(4), spent)
 
     terms = []
     for keys, vals in eight.values():

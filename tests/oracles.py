@@ -23,6 +23,9 @@ function computes, and is used only by the tests:
   factor pair theta(u+v)^2 theta(u-v)^2 by four nested loops over the
   theta exponents; the dict-fold oracle of ``tests/test_catalog.py``
   builds on it);
+* ``phi16_4_by_raw_rows`` for ``catalog.build_phi16_4`` (folds the seed
+  table with every two- and four-factor term keyed by its raw exponent
+  row, and bins only the eight-factor products by W(D8)-canonical row);
 * ``rank_series_by_convolution`` for ``catalog.rank_series`` (expands the
   denominator and divides by convolving with all of it);
 * ``inv_mul_by_membership`` for ``invring.inv_mul`` on two orbit sums
@@ -35,7 +38,7 @@ function computes, and is used only by the tests:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
 
 import numpy as np
 
@@ -49,7 +52,10 @@ from e8jac.e8 import (
     DominantWeight,
     E8Vector,
     _batch_reduce,
+    _dn_canonical,
+    _key_weight,
     _pack,
+    _sum_by_key,
     _unpack,
     alcove,
     element_budget,
@@ -61,11 +67,16 @@ from e8jac.e8 import (
 from e8jac.catalog import (
     ModuleReport,
     _WEAK_GEN_NAMES,
+    _display_coeff,
+    _fold,
+    _mf,
+    _theta_square,
     _weight_candidates,
     build,
     default_order,
 )
-from e8jac.invring import InvariantElement
+from e8jac.invring import InvariantElement, _element
+from e8jac.jacobi import JacobiQExpansion, jf_div_modular
 from e8jac.linalg import nullspace, rank
 from e8jac.qseries import ModularQSeries, dim_modular
 
@@ -421,6 +432,45 @@ def _theta_pair_block(max_t2: int) -> dict[tuple[int, tuple[int, int]], int]:
                     key = (ss // 2, (eu, ev))
                     out[key] = out.get(key, 0) + sign
     return {k: v for k, v in out.items() if v}
+
+
+# The raw exponent row (A_1, ..., A_8) of eight seed factors as the doubled
+# E8 row 2(A_1+A_2, A_1-A_2, A_3+A_4, ...).
+_RAW_FRAME = np.kron(np.eye(4, dtype=np.int64), np.array([[2, 2], [2, -2]]))
+
+
+def _concat(width: int):
+    """Product keys as the factors' keys concatenated, first factor high,
+    width bits each."""
+    return lambda k1, k2: ((k1[:, None] << width) | k2).ravel()
+
+
+def _d8_canonical(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Product keys of two four-factor raw rows: the packed W(D8)-canonical
+    E8 row of the eight factors' exponents."""
+    return _pack(_dn_canonical(_unpack(_concat(32)(k1, k2)) @ _RAW_FRAME))
+
+
+def phi16_4_by_raw_rows(order: int) -> JacobiQExpansion:
+    """phi_-16_4 with the two- and four-factor tables keyed by raw exponent
+    rows (a byte per A) and only the eight-factor products binned by
+    W(D8)-canonical row. Charges the element budget as the library does."""
+    n_num = order + 2
+    two, spent = _fold(_theta_square(4 * n_num - 7), range(4 * n_num - 5), _concat(8), 0)
+    four, spent = _fold(two, range(4 * n_num - 3), _concat(16), spent)
+    eight, _ = _fold(four, range(0, 4 * n_num + 1, 4), _d8_canonical, spent)
+    terms = []
+    for keys, vals in eight.values():
+        keys, vals = _sum_by_key(_pack(_batch_reduce(_unpack(keys))), vals)
+        keys = keys.tolist()
+        sizes = [orbit_size(_key_weight(k)) for k in keys]
+        den = lcm(*sizes)
+        terms.append(_element(
+            {k: v * (den // size) for k, v, size in zip(keys, vals.tolist(), sizes)},
+            den,
+        ))
+    quot = jf_div_modular(JacobiQExpansion(8, 4, terms), _mf(0, 0, 2, n_num))
+    return quot.scale(1 / _display_coeff(quot.term(0), "Σ_{16'}"))
 
 
 def rank_series_by_convolution(t_max: int) -> list[int]:

@@ -58,6 +58,7 @@ from conftest import assert_canonical
 from oracles import (
     _theta_pair_block,
     free_module_report_by_forms,
+    phi16_4_by_raw_rows,
     rank_series_by_convolution,
 )
 
@@ -645,15 +646,15 @@ def test_every_form_is_prefix_stable():
     names = sorted(n for n, e in REGISTRY.items() if e.buildable)
     assert len(names) == 46
     for name in names:
-        top = 3 if REGISTRY[name].index == 4 else 6
-        deep = build(name, top)
-        for k in range(top):
+        deep = build(name, 6)
+        for k in range(6):
             assert build(name, k) == deep.truncate(k), (name, k)
 
 
 # ---------------------------------------------------------------------------
-# The theta quotient phi_-16_4. Oracle: a dict fold of four pair blocks
-# (tests/oracles.py), binned by dominant row through a tuple dict.
+# The theta quotient phi_-16_4. Oracles: a dict fold of four pair blocks
+# (tests/oracles.py), binned by dominant row through a tuple dict, and the
+# raw-row fold of tests/oracles.py, binned by canonical row only at the top.
 
 
 def _fold(d1, d2, min_rest, budget):
@@ -706,6 +707,13 @@ def test_phi16_4_matches_dict_fold_oracle(order):
     assert _sha(build_phi16_4(order)) == _sha(_phi16_4_by_dict_fold(order))
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_phi16_4_matches_raw_row_oracle(monkeypatch, order):
+    # the raw rows of order 4 need 2,458,056 product rows of budget
+    monkeypatch.setenv(BUDGET_ENV, "3000000")
+    assert _sha(build_phi16_4(order)) == _sha(phi16_4_by_raw_rows(order))
+
+
 # sha256 of build_phi16_4(order).to_json(), generated before the int64 key
 # tables replaced the dict fold; order 2 is pinned above as the default.
 _PINS_PHI16_4 = {
@@ -721,13 +729,17 @@ def test_phi16_4_pins(order):
 
 
 def test_phi16_4_past_the_default_budget_is_a_budget_error(monkeypatch):
-    # order 4 forms 2,458,056 product rows, past the default budget, and
-    # raises before its top fold; a budget of 3,000,000 builds it, and the
-    # result extends the order-3 pin and is quasi-periodic on every triple
+    # order 19 forms 2,008,087 product rows, past the default budget; order
+    # 4 forms 5,710, so a budget one row short raises and a budget of
+    # exactly 5,710 builds it, extending the order-3 pin and quasi-periodic
+    # on every triple
     monkeypatch.delenv(BUDGET_ENV, raising=False)
-    with pytest.raises(BudgetError, match="2458056 product rows"):
+    with pytest.raises(BudgetError, match="2008087 product rows"):
+        build_phi16_4(19)
+    monkeypatch.setenv(BUDGET_ENV, "5709")
+    with pytest.raises(BudgetError, match="5710 product rows"):
         build_phi16_4(4)
-    monkeypatch.setenv(BUDGET_ENV, "3000000")
+    monkeypatch.setenv(BUDGET_ENV, "5710")
     form = build_phi16_4(4)
     assert _sha(form.truncate(3)) == _PINS_PHI16_4[3]
     assert check_quasi_periodicity(form, samples=10**6) == 6601
@@ -760,11 +772,11 @@ def test_phi16_4_reduces_only_d8_canonical_rows(monkeypatch):
 def test_phi16_4_memory_stays_chunked():
     tracemalloc.start()
     try:
-        build_phi16_4(3)
+        build_phi16_4(8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def _run_optimized(code):

@@ -192,13 +192,13 @@ def test_solve_cascade_bad_norms_item_is_one_usage_error(capsys, norms, item):
 
 
 @pytest.mark.parametrize("argv,message", [
-    pytest.param(("expand", "--form", "phi_-16_4", "--order", "4"),
-                 "theta quotient would form 2458056 product rows, "
-                 "over element budget 2000000", id="order-4"),
-    pytest.param(("--budget", "100000", "expand", "--form", "phi_-16_4",
+    pytest.param(("expand", "--form", "phi_-16_4", "--order", "19"),
+                 "theta quotient would form 2008087 product rows, "
+                 "over element budget 2000000", id="order-19"),
+    pytest.param(("--budget", "1000", "expand", "--form", "phi_-16_4",
                   "--order", "2"),
-                 "theta quotient would form 260433 product rows, "
-                 "over element budget 100000", id="small-budget"),
+                 "theta quotient would form 1068 product rows, "
+                 "over element budget 1000", id="small-budget"),
     pytest.param(("expand", "--form", "phi_-16_4", "--order", "5000"),
                  "theta-quotient seed exponent outside the byte range [-128, 127]",
                  id="byte-range"),

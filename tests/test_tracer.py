@@ -1,5 +1,5 @@
 """The traced benchmark still reads the package: perfbench's tracer, installed
-on a fresh interpreter, sees every span it requires on a real workload.
+on a fresh interpreter, sees every span it requires on the real workloads.
 
 The tracer reads InvariantElement.terms and DominantWeight.v, and rebinds
 the package's functions by name, so a change to either shows up here and
@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import e8jac
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,23 +22,24 @@ import json
 import spans, workloads
 tracer = spans.Tracer()
 spans.install(tracer)
-results = workloads.run_ops(workloads.plan("expand_deep", 0))
+results = workloads.run_ops(workloads.plan({workload!r}, 0))
 _, failures = workloads.check(results, workloads.load_expected())
-print(json.dumps({
-    "missing": sorted(set(spans.REQUIRED["expand_deep"]) - set(tracer.names)),
+print(json.dumps({{
+    "missing": sorted(set(spans.REQUIRED[{workload!r}]) - set(tracer.names)),
     "pair_misses": tracer.counters["invring.pair.misses"],
     "failures": failures,
-}))
+}}))
 """
 
 
-def test_tracer_sees_every_required_span_on_expand_deep():
+@pytest.mark.parametrize("workload", ["expand_deep", "verify_core"])
+def test_tracer_sees_every_required_span(workload):
     src = os.path.dirname(os.path.dirname(e8jac.__file__))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([src, str(ROOT / "perfbench")]))
     env.pop("E8JAC_BUDGET", None)
     proc = subprocess.run(
-        [sys.executable, "-c", CODE],
+        [sys.executable, "-c", CODE.format(workload=workload)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
