@@ -329,7 +329,7 @@ def _term(t: Term, n: int) -> tuple[Fraction, JacobiQExpansion]:
     for name in t.factors[1:]:
         form = jf_mul(form, build(name, t.lift * n))
     if t.lift > 1:
-        form = hecke_t_minus(form, t.lift, n)
+        form = hecke_t_minus(form, t.lift)
     if t.heat:
         form = heat(form)
     if t.e4 or t.e6 or t.delta:
@@ -675,23 +675,18 @@ def _monomials(d: int) -> list[tuple[int, int]]:
     return out
 
 
-def _weight_candidates(weight: int, t: int, order: int) -> list[JacobiQExpansion]:
-    cands = []
-    for gname in _WEAK_GEN_NAMES[t]:
-        g = build(gname, order)
-        for a4, a6 in _monomials(weight - g.weight):
-            cands.append(jf_scale(g, _mf(a4, a6, 0, order)))
-    return cands
-
-
 def holomorphic_subspace(weight: int, t: int, order: int) -> list[JacobiQExpansion]:
     """Basis of the holomorphic forms of the given weight and index.
 
-    Spans all modular-form multiples of the weak generators at that weight
-    and imposes the finite holomorphy conditions as exact linear
-    constraints. Weight-4 and weight-6 solutions are normalized so the z=0
-    value is E4 resp. E6 (q^0 constant 1); other solutions get leading
-    display coefficient 1.
+    Spans all modular-form multiples E4^a·E6^b·g of the weak generators at
+    that weight and imposes the finite holomorphy conditions as exact linear
+    constraints. No candidate form is built: the candidates are the integer
+    rows of verify_free_module (candidate i scaled by its generator's D_g),
+    a condition of _hol_rules is one of their (q-power, orbit) columns, and
+    a solution is read off the rows as integer coefficients. Scaling a
+    candidate only rescales each nullspace vector, and the normalization
+    fixes the scale: weight-4 and weight-6 solutions have z=0 value E4 resp.
+    E6 (q^0 constant 1); other solutions get leading display coefficient 1.
     """
     if t not in _WEAK_GEN_NAMES:
         raise ValueError(f"index {t} outside the constructible range 1..4")
@@ -704,22 +699,28 @@ def holomorphic_subspace(weight: int, t: int, order: int) -> list[JacobiQExpansi
             f"order {order} cannot impose the q^{need} holomorphy conditions; "
             f"build with order >= {need}"
         )
-    cands = _weight_candidates(weight, t, order)
-    if not cands:
+    gens = [build(g, order) for g in _WEAK_GEN_NAMES[t]]
+    keys, blocks = _integer_blocks(gens)
+    rows, _ = _integer_candidates(weight, gens, blocks, order)
+    if not rows:
         return []
-    constraints: list[tuple[int, DominantWeight]] = []
-    for n, bound in rules:
-        pts = {k for c in cands for k in c.term(n).num
-               if _key_weight(k).norm() > bound}
-        constraints.extend((n, _key_weight(k)) for k in sorted(pts))
-    matrix = [
-        [c.term(n).coeff(mm) for c in cands] for n, mm in constraints
+    width = len(keys)
+    constraints = [
+        [row[n * width + j] for row in rows]
+        for n, bound in rules
+        for j, k in enumerate(keys)
+        if _key_weight(k).norm() > bound
     ]
-    coeffs = nullspace(matrix, len(cands))
-    return [
-        _normalize_solution(jf_lincomb([(x, c) for x, c in zip(vec, cands) if x]))
-        for vec in coeffs
-    ]
+    solutions = []
+    for vec in nullspace([c for c in constraints if any(c)], len(rows)):
+        combo = [0] * len(rows[0])
+        for x, row in zip(vec, rows):
+            if x:
+                combo = [a + x * b for a, b in zip(combo, row)]
+        terms = [_element(dict(zip(keys, combo[n * width:(n + 1) * width])), 1)
+                 for n in range(order + 1)]
+        solutions.append(_normalize_solution(JacobiQExpansion(weight, t, terms)))
+    return solutions
 
 
 def _normalize_solution(form: JacobiQExpansion) -> JacobiQExpansion:
@@ -767,9 +768,9 @@ def _integer_blocks(gens):
 
 
 def _integer_candidates(weight: int, gens, blocks, order: int):
-    """The candidates of _weight_candidates, each scaled by its generator's
-    D_g, as integer rows over (q-power, orbit) columns, q-powers outermost;
-    and the D_g of each row."""
+    """The candidates E4^a·E6^b·g of the given weight, each scaled by its
+    generator's D_g, as integer rows over (q-power, orbit) columns,
+    q-powers outermost; and the D_g of each row."""
     rows, scales = [], []
     for g, (scale, block) in zip(gens, blocks):
         for a4, a6 in _monomials(weight - g.weight):

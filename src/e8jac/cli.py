@@ -69,8 +69,7 @@ def _cmd_expand(args) -> int:
             }
         )
     else:
-        for n in range(form.order + 1):
-            print(f"q^{n}: {form.term(n).display_str()}")
+        print("\n".join(form.display_lines()))
     return 0
 
 
@@ -479,7 +478,9 @@ def main(argv=None) -> int:
         return 2
     except (_UsageError, BudgetError, CatalogError, KeyError, ValueError,
             IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # CertificationError or another internal error
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,8 @@ index-raising operator, z-rescaling — are the complete toolkit used by the
 catalog constructions.
 
 Orders are tracked pessimistically: every operator states exactly how many
-input terms it consumes, and the index-raising operator refuses to run
-rather than silently return fewer correct terms than requested.
+input terms it consumes and returns only the terms its inputs determine
+(the index-raising operator at s gives order floor(order / s)).
 """
 from __future__ import annotations
 
@@ -294,28 +294,18 @@ def heat(a: JacobiQExpansion) -> JacobiQExpansion:
     return JacobiQExpansion(k + 2, t, terms)
 
 
-def hecke_t_minus(
-    a: JacobiQExpansion, s: int, order: int | None = None
-) -> JacobiQExpansion:
+def hecke_t_minus(a: JacobiQExpansion, s: int) -> JacobiQExpansion:
     """Index-raising operator: index t -> t·s, weight unchanged.
 
     Output coefficient g(n, l) = sum over d dividing (n, s) with l/d in the
     lattice of d^(k-1)·f(n·s/d², l/d). Orbit-level this reads: the input
     orbit term (m, c) at q^(n·s/d²) feeds c·d^(k-1) into orbit d·m at q^n.
 
-    The output order is floor(a.order / s); requesting more via `order`
-    raises with the exact input order needed.
+    The output order is floor(a.order / s), the most the input determines.
     """
     if s < 1:
         raise ValueError("index-raising parameter must be >= 1")
     out_order = a.order // s
-    if order is not None:
-        if a.order < s * order:
-            raise ValueError(
-                f"input order {a.order} insufficient: order-{order} output "
-                f"of the index-raising operator at s={s} needs input order {s * order}"
-            )
-        out_order = order
     k = a.weight
     terms = [
         lincomb(

@@ -33,7 +33,11 @@ function computes, and is used only by the tests:
   orb(m2), with no dominant reduction);
 * ``free_module_report_by_forms`` for ``catalog.verify_free_module`` (builds
   every candidate form E4^a·E6^b·g with ``jf_scale`` and ranks its Fraction
-  coefficients on the sorted (q-power, orbit) columns).
+  coefficients on the sorted (q-power, orbit) columns);
+* ``holomorphic_subspace_by_forms`` for ``catalog.holomorphic_subspace``
+  (builds the same candidate forms, ``_weight_candidates``, reads the
+  holomorphy constraints off their Fraction coefficients and sums each
+  solution with ``jf_lincomb``).
 """
 from __future__ import annotations
 
@@ -69,14 +73,16 @@ from e8jac.catalog import (
     _WEAK_GEN_NAMES,
     _display_coeff,
     _fold,
+    _hol_rules,
     _mf,
+    _monomials,
+    _normalize_solution,
     _theta_square,
-    _weight_candidates,
     build,
     default_order,
 )
 from e8jac.invring import InvariantElement, _element
-from e8jac.jacobi import JacobiQExpansion, jf_div_modular
+from e8jac.jacobi import JacobiQExpansion, jf_div_modular, jf_lincomb, jf_scale
 from e8jac.linalg import nullspace, rank
 from e8jac.qseries import ModularQSeries, dim_modular
 
@@ -550,3 +556,37 @@ def free_module_report_by_forms(
             detail = f"vanishing combination: {combo[0] if combo else '?'}"
         report.rows.append((w, expected, rk, ok, detail))
     return report
+
+
+def _weight_candidates(weight: int, t: int, order: int) -> list[JacobiQExpansion]:
+    """Every modular multiple E4^a·E6^b·g of a weak generator of index t at
+    the given weight, built as a form with jf_scale: generators outermost,
+    in registry order."""
+    cands = []
+    for gname in _WEAK_GEN_NAMES[t]:
+        g = build(gname, order)
+        for a4, a6 in _monomials(weight - g.weight):
+            cands.append(jf_scale(g, _mf(a4, a6, 0, order)))
+    return cands
+
+
+def holomorphic_subspace_by_forms(
+    weight: int, t: int, order: int
+) -> list[JacobiQExpansion]:
+    """holomorphic_subspace by candidate forms: one constraint row of
+    Fraction coefficients per orbit of norm above 2nt that some candidate
+    carries at q^n, and each nullspace vector x summed as Σ xᵢ·candidateᵢ
+    by jf_lincomb, then normalized. Takes valid arguments only."""
+    cands = _weight_candidates(weight, t, order)
+    if not cands:
+        return []
+    matrix = []
+    for n, bound in _hol_rules(t):
+        pts = {k for c in cands for k in c.term(n).num
+               if _key_weight(k).norm() > bound}
+        matrix.extend([c.term(n).coeff(_key_weight(k)) for c in cands]
+                      for k in sorted(pts))
+    return [
+        _normalize_solution(jf_lincomb([(x, c) for x, c in zip(vec, cands) if x]))
+        for vec in nullspace(matrix, len(cands))
+    ]

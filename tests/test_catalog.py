@@ -38,7 +38,6 @@ from e8jac.catalog import (
     _integer_blocks,
     _integer_candidates,
     _mf,
-    _weight_candidates,
     build_phi16_4,
     default_order,
     parse_recipe,
@@ -57,7 +56,9 @@ from e8jac.qseries import ModularQSeries, delta, eisenstein
 from conftest import assert_canonical
 from oracles import (
     _theta_pair_block,
+    _weight_candidates,
     free_module_report_by_forms,
+    holomorphic_subspace_by_forms,
     phi16_4_by_raw_rows,
     rank_series_by_convolution,
 )
@@ -338,6 +339,33 @@ def test_subspace_validation():
 
 def test_empty_subspace_below_range():
     assert holomorphic_subspace(-20, 2, 2) == []
+
+
+@pytest.mark.parametrize("weight,t,order", [
+    (4, 1, 2), (4, 2, 2), (4, 3, 2), (4, 4, 2), (6, 3, 2), (8, 4, 2),
+    (10, 4, 3), (12, 3, 4), (16, 4, 2), (20, 3, 3), (8, 2, 5), (-20, 2, 2),
+])
+def test_holomorphic_subspace_matches_form_oracle(weight, t, order):
+    # the oracle builds every candidate form and solves on Fraction coefficients
+    assert holomorphic_subspace(weight, t, order) == \
+        holomorphic_subspace_by_forms(weight, t, order)
+
+
+def test_holomorphic_subspace_builds_no_candidate_form(monkeypatch):
+    import e8jac.catalog as catalog
+    import e8jac.jacobi as jacobi
+
+    assert len(holomorphic_subspace(8, 4, 2)) == 5  # builds the generators
+    calls = []
+
+    def counted_scale(*args):
+        calls.append("jf_scale")
+        return jf_scale(*args)
+
+    monkeypatch.setattr(catalog, "jf_scale", counted_scale)
+    monkeypatch.setattr(jacobi, "jf_scale", counted_scale)
+    assert len(holomorphic_subspace(8, 4, 2)) == 5
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

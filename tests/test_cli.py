@@ -53,9 +53,12 @@ def test_expand_json_is_byte_stable(capsys):
 
 
 def test_expand_unknown_form(capsys):
-    code, _, err = run(capsys, "expand", "--form", "nosuchform")
-    assert code == 2
-    assert "nosuchform" in err
+    code, out, err = run(capsys, "expand", "--form", "nosuchform")
+    assert code == 2 and out == ""
+    # the KeyError's message itself, not its repr in quotes
+    known = ", ".join(sorted(REGISTRY))
+    assert err.splitlines() == [
+        f"error: unknown form name 'nosuchform'; registry holds: {known}"]
 
 
 @pytest.mark.parametrize(
@@ -213,11 +216,12 @@ def test_theta_quotient_past_the_budget_is_one_usage_error(capsys, monkeypatch,
     assert err.splitlines() == [f"error: {message}"]
 
 
-def test_theta_quotient_past_order_3_builds_under_a_larger_budget(capsys, cold_memos):
-    code, out, err = run(capsys, "--budget", "3000000", "expand", "--form",
-                         "phi_0_4", "--order", "4")
+def test_theta_quotient_past_order_18_builds_under_a_larger_budget(capsys, cold_memos):
+    # order 19 is past the default budget (the order-19 case above)
+    code, out, err = run(capsys, "--budget", "2100000", "expand", "--form",
+                         "phi_-16_4", "--order", "19")
     assert code == 0 and err == ""
-    assert len(out.splitlines()) == 5
+    assert len(out.splitlines()) == 20
 
 
 # ---------------------------------------------------------------------------
