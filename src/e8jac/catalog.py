@@ -37,7 +37,7 @@ from .e8 import (
     max_pairing,
     orbit_size,
 )
-from .invring import SIGMA_LABELS, InvariantElement, _element, label_weight
+from .invring import SIGMA_LABELS, _element, label_weight
 from .jacobi import (
     JacobiQExpansion,
     heat,
@@ -94,11 +94,6 @@ def _mf(a4: int, a6: int, d: int, order: int) -> ModularQSeries:
     if d:
         return _mf(0, 0, d - 1, order) * delta(order)
     return ModularQSeries(0, [1] + [0] * order)
-
-
-def _display_coeff(elem: InvariantElement, label: str) -> Fraction:
-    m = label_weight(label)
-    return elem.coeff(m) * Fraction(orbit_size(m), 240)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +229,7 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
         raise CertificationError("prefactor power mismatch")
     num = JacobiQExpansion(8, 4, terms)
     quot = jf_div_modular(num, _mf(0, 0, 2, n_num))
-    lam = _display_coeff(quot.term(0), "Σ_{16'}")
+    lam = quot.term(0).display_map().get("Σ_{16'}", 0)
     if not lam:
         raise CertificationError("projection lost the leading orbit; recipe broken")
     return quot.scale(1 / lam)
@@ -350,6 +345,10 @@ def _b_a4(n: int) -> JacobiQExpansion:
 # ---------------------------------------------------------------------------
 # Registry
 
+# the normalization of the index-4 forms whose recipe cancels the q² Σ_{16'}
+# coefficient; the index4 verify suite checks every entry that carries it
+Q2_SIGMA16_CANCELLED = "q² Σ_{16'} coefficient is 0"
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -392,7 +391,7 @@ def _form(name, weight, index, expected_class, *terms, normalization="",
 def _entries() -> list[RegistryEntry]:
     E, F = RegistryEntry, _form
     z4, z6 = "z=0 value is E4", "z=0 value is E6"
-    star = "q² Σ_{16'} coefficient is 0"
+    star = Q2_SIGMA16_CANCELLED
     return [
         E("theta_e8", 4, 1, "lattice theta series", "holomorphic",
           builder=theta_e8),

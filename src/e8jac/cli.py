@@ -14,9 +14,10 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 
 from .catalog import (
+    Q2_SIGMA16_CANCELLED,
     REGISTRY,
     CatalogError,
     build,
@@ -31,7 +32,6 @@ from .catalog import (
 from .e8 import (
     BUDGET_ENV,
     BudgetError,
-    DominantWeight,
     element_budget,
     max_coset_min_norm,
     shell,
@@ -47,99 +47,59 @@ from .qseries import format_rational, sigma_pow
 __all__ = ["main"]
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (exit code, JSON payload, text lines); main prints
+# one of the two
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args):
     form = build(args.form, args.order)
-    if args.format == "json":
-        _emit_json(
-            {
-                "name": args.form,
-                "form": form.to_json(),
-                "display": {
-                    str(n): form.term(n).display_str()
-                    for n in range(form.order + 1)
-                },
-            }
-        )
-    else:
-        print("\n".join(form.display_lines()))
-    return 0
+    if args.format == "text":  # the payload serializes every term
+        return 0, None, form.display_lines()
+    return 0, {
+        "name": args.form,
+        "form": form.to_json(),
+        "display": {
+            str(n): form.term(n).display_str() for n in range(form.order + 1)
+        },
+    }, None
 
 
-def _cmd_orbits(args) -> int:
-    two_n = args.norm
-    reps = shell(two_n)
+def _cmd_orbits(args):
     rows = [
         {"fw": list(m.fw), "size": size, "label": sigma_label(m)}
-        for m, size in reps
+        for m, size in shell(args.norm)
     ]
     total = sum(r["size"] for r in rows)
-    if args.format == "json":
-        _emit_json({"norm": two_n, "orbits": rows, "total": total})
-    else:
-        for r in rows:
-            print(f"{r['label']}: fw={tuple(r['fw'])} size={r['size']}")
-        print(f"total {total}")
-    return 0
+    lines = [f"{r['label']}: fw={tuple(r['fw'])} size={r['size']}" for r in rows]
+    lines.append(f"total {total}")
+    return 0, {"norm": args.norm, "orbits": rows, "total": total}, lines
 
 
-def _cmd_coset_minima(args) -> int:
+def _cmd_coset_minima(args):
     value = max_coset_min_norm(args.t)
-    if args.format == "json":
-        _emit_json({"t": args.t, "max_min_norm": value})
-    else:
-        print(value)
-    return 0
+    return 0, {"t": args.t, "max_min_norm": value}, [str(value)]
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args):
     r = rank_series(args.max)[1:]
-    if args.format == "json":
-        _emit_json({"max": args.max, "ranks": r})
-    else:
-        print(" ".join(str(x) for x in r))
-    return 0
+    return 0, {"max": args.max, "ranks": r}, [" ".join(str(x) for x in r)]
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     table = dimension_bound_table(args.max)
-    if args.format == "json":
-        _emit_json(
-            {
-                "max": args.max,
-                "rows": [
-                    {"weight": k, "bound": b, "note": note}
-                    for k, b, note in table
-                ],
-            }
-        )
-    else:
-        for k, b, note in table:
-            line = f"{k}: {b}"
-            if note:
-                line += f"  ({note})"
-            print(line)
-    return 0
+    rows = [{"weight": k, "bound": b, "note": note} for k, b, note in table]
+    lines = [f"{k}: {b}" + (f"  ({note})" if note else "") for k, b, note in table]
+    return 0, {"max": args.max, "rows": rows}, lines
 
 
-def _cmd_pullback_max(args) -> int:
+def _cmd_pullback_max(args):
     table = pullback_max_table()
-    if args.format == "json":
-        _emit_json({"rows": [{"label": lab, "max": v} for lab, v in table]})
-    else:
-        for lab, v in table:
-            print(f"{lab}: {v}")
-    return 0
+    rows = [{"label": lab, "max": v} for lab, v in table]
+    return 0, {"rows": rows}, [f"{lab}: {v}" for lab, v in table]
 
 
-def _cmd_solve_cascade(args) -> int:
+def _cmd_solve_cascade(args):
     norms = []
     for item in args.norms.split(","):
         try:
@@ -147,24 +107,15 @@ def _cmd_solve_cascade(args) -> int:
         except ValueError:
             raise ValueError(f"--norms item {item!r} is not an integer") from None
     sys_ = solve_cascade(args.t, args.w0, norms)
-    if args.format == "json":
-        _emit_json(
-            {
-                "t": sys_.index,
-                "w0": sys_.start_weight,
-                "norms": list(sys_.norms),
-                "matrix": [
-                    [format_rational(x) for x in row] for row in sys_.matrix
-                ],
-                "nullspace": [list(v) for v in sys_.nullspace],
-            }
-        )
-    else:
-        if not sys_.nullspace:
-            print("nullspace: trivial")
-        for v in sys_.nullspace:
-            print("nullspace:", " ".join(str(x) for x in v))
-    return 0
+    payload = {
+        "t": sys_.index,
+        "w0": sys_.start_weight,
+        "norms": list(sys_.norms),
+        "matrix": [[format_rational(x) for x in row] for row in sys_.matrix],
+        "nullspace": [list(v) for v in sys_.nullspace],
+    }
+    lines = [f"nullspace: {' '.join(str(x) for x in v)}" for v in sys_.nullspace]
+    return 0, payload, lines or ["nullspace: trivial"]
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +135,12 @@ def _check_pins(t: int) -> list[tuple[str, bool, str]]:
     return out
 
 
-def _suite_index2():
-    return _check_pins(2)
-
-
-def _suite_index3():
-    return _check_pins(3)
-
-
 def _suite_index4():
     out = _check_pins(4)
-    for name in ("u10_4", "u12_4", "cusp_8_4", "cusp_10_4", "cusp_12_4"):
-        f = build(name)
-        m16 = DominantWeight.from_fw((2, 0, 0, 0, 0, 0, 0, 0))
-        ok = f.term(2).coeff(m16) == 0
+    for name, entry in REGISTRY.items():
+        if entry.normalization != Q2_SIGMA16_CANCELLED:
+            continue
+        ok = not build(name).term(2).display_map().get("Σ_{16'}", 0)
         out.append((f"index4: {name} q² Σ_{{16'}} cancelled", ok,
                     "" if ok else "survived"))
     return out
@@ -235,7 +178,9 @@ def _suite_identities():
 
 def _suite_lf():
     out = []
-    for name in ("phi_0_2", "a0_3", "phi_0_3", "phi_0_4"):
+    for name, entry in REGISTRY.items():
+        if not entry.buildable or entry.weight != 0:
+            continue
         ok = weight0_identity(build(name))
         out.append((f"lf: weight-0 identity for {name}", ok,
                     "" if ok else "2t·f(0) != 3·norm moment"))
@@ -335,8 +280,8 @@ def _suite_properties():
 
 
 _SUITES = {
-    "index2": _suite_index2,
-    "index3": _suite_index3,
+    "index2": partial(_check_pins, 2),
+    "index3": partial(_check_pins, 3),
     "index4": _suite_index4,
     "systems": _suite_systems,
     "identities": _suite_identities,
@@ -348,32 +293,21 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks = []
-    for nm in names:
-        checks.extend(_SUITES[nm]())
+    checks = [check for nm in names for check in _SUITES[nm]()]
     ok_all = all(ok for _, ok, _ in checks)
-    if args.format == "json":
-        _emit_json(
-            {
-                "suite": args.suite,
-                "ok": ok_all,
-                "checks": [
-                    {"name": nm, "ok": ok, "detail": detail}
-                    for nm, ok, detail in checks
-                ],
-            }
-        )
-    else:
-        for nm, ok, detail in checks:
-            mark = "ok  " if ok else "FAIL"
-            line = f"{mark} {nm}"
-            if detail:
-                line += f" — {detail}"
-            print(line)
-        print(f"{sum(ok for _, ok, _ in checks)}/{len(checks)} checks passed")
-    return 0 if ok_all else 1
+    payload = {
+        "suite": args.suite,
+        "ok": ok_all,
+        "checks": [
+            {"name": nm, "ok": ok, "detail": detail} for nm, ok, detail in checks
+        ],
+    }
+    lines = [f"{'ok  ' if ok else 'FAIL'} {nm}" + (f" — {detail}" if detail else "")
+             for nm, ok, detail in checks]
+    lines.append(f"{sum(ok for _, ok, _ in checks)}/{len(checks)} checks passed")
+    return 0 if ok_all else 1, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +400,22 @@ def main(argv=None) -> int:
         element_budget(args.budget)  # a bad --budget or $E8JAC_BUDGET is a usage error
         if args.budget is not None:
             os.environ[BUDGET_ENV] = str(args.budget)
-        code = args.fn(args)
+        code, payload, lines = args.fn(args)
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so the
         # flush at interpreter exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         print("error: stdout closed before the output was written",
               file=sys.stderr)
         return 2

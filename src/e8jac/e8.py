@@ -581,7 +581,6 @@ def _decode_scaled(d: np.ndarray, t: int) -> np.ndarray:
     return np.where(odd, cost + flip, cost).min(axis=0)
 
 
-@functools.cache
 def coset_min_norm(l: E8Vector, t: int) -> int:
     """Minimum norm in the coset l + tE8, by exact decoding (no search)."""
     if t < 1:

@@ -71,7 +71,6 @@ from e8jac.e8 import (
 from e8jac.catalog import (
     ModuleReport,
     _WEAK_GEN_NAMES,
-    _display_coeff,
     _fold,
     _hol_rules,
     _mf,
@@ -476,7 +475,7 @@ def phi16_4_by_raw_rows(order: int) -> JacobiQExpansion:
             den,
         ))
     quot = jf_div_modular(JacobiQExpansion(8, 4, terms), _mf(0, 0, 2, n_num))
-    return quot.scale(1 / _display_coeff(quot.term(0), "Σ_{16'}"))
+    return quot.scale(1 / quot.term(0).display_map()["Σ_{16'}"])
 
 
 def rank_series_by_convolution(t_max: int) -> list[int]:

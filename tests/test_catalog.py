@@ -33,7 +33,6 @@ from e8jac import (
 from e8jac.catalog import (
     Recipe,
     Term,
-    _display_coeff,
     _hol_rules,
     _integer_blocks,
     _integer_candidates,
@@ -226,7 +225,7 @@ def test_starred_literals_cancel_the_q2_sigma16(name):
 
 
 def test_phi_8_3_literals_normalize_the_sigma8_lead():
-    assert _display_coeff(build("phi_-8_3").term(0), "Σ_{8'}") == 1
+    assert build("phi_-8_3").term(0).display_map()["Σ_{8'}"] == 1
 
 
 def test_expected_classes_hold_for_index2():
@@ -727,7 +726,7 @@ def _phi16_4_by_dict_fold(order):
                 elem[m] = Fraction(total, orbit_size(m))
         terms.append(InvariantElement(elem))
     quot = jf_div_modular(JacobiQExpansion(8, 4, terms), _mf(0, 0, 2, n_num))
-    return quot.scale(1 / _display_coeff(quot.term(0), "Σ_{16'}"))
+    return quot.scale(1 / quot.term(0).display_map()["Σ_{16'}"])
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -293,6 +294,53 @@ def test_verify_rejects_unknown_suite(capsys):
 
 
 # ---------------------------------------------------------------------------
+# every command prints through main: sha256 of stdout, pinned per format
+
+_OUTPUT_SHA256 = {
+    "expand --form phi_-4_2 --order 3": (
+        "71c7f9e8f31ac2bc35ae982658c9ff00ca96bd306e3d0d56580e3bf73e5feab1",
+        "4d99c62eae23353f6d3cf27a4722d9b449b5ed8fa44544c6045ed428e2924793"),
+    "expand --form b2": (
+        "51ee50977c122c8b7fb9db9395e89b2175d42185409ce8e963bc35e5df1858bd",
+        "6b3b2d6b5a90af12e8b7bdc5dfa63ac8cb30b6c98460d37f5c5758fbc3daaeab"),
+    "orbits --norm 8": (
+        "dc0cfe070d9591d4557902783e92a935b216026d31b733e3f44b399bbd554a35",
+        "c502e61fd393a849be91ec401f1d1a1a483cdca7e13f994e008e9e7c57354d36"),
+    "coset-minima --t 5": (
+        "f14b4987904bcb5814e4459a057ed4d20f58a633152288a761214dcd28780b56",
+        "62ac228a0fdd2c760bfc9ce3d6999660e3634b0d8b66f60be3cecbb30f54a9a1"),
+    "rank --max 14": (
+        "959a1f2213e005dad5d9304d474cba600faf5d2125f065eac577b41a6957f186",
+        "1129c786046d4f805276ca5b6446b89c89d8dd42b831cb1136d47124013a5c02"),
+    "bounds --max 40": (
+        "4678e1c367ec3897d3445a281fbefa27b65db0ea1f0b29e198c52dfd4b91abfe",
+        "b5c1b6c761248a7b6efe499378f48c250062e0f5459145d5f788e112ef6ab7c6"),
+    "pullback-max": (
+        "a130edb7ec4ba357a110b354982e36326a07122ccc3eabab7fc48e2654190fb8",
+        "0dd2e11bb9fce9143f24d717585e7bc628b0ff35a3ddc5feb5f713cb30a85afb"),
+    "solve-cascade --t 3 --w0 -8 --norms 0,2,4,6,8": (
+        "248b71a6ed079df85d6c4123bc828c32e2f4f2316f2526e6091e997311913248",
+        "4091682870bf57c401fa37a87d19df2c3b2860a6f94b19ebce5759f36055633e"),
+    "solve-cascade --t 3 --w0 -10 --norms 0,2,4,6,8": (
+        "25ef397e042dd9978c7dc0eb1343342df06b64753339e548ab480e6e3776b6f0",
+        "7fc8650248ee8552e394592d88029becb99283685ad423f32aa7ca3b7d5e16cf"),
+    "verify --suite all": (
+        "476102183f850dbf15ed5362f07810fa7dc63559c79824aea130d195ea0baf83",
+        "acd2a107d22c999ac0e0658bd8dac874d3dd2f4e1437291dd0b171985b991329"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(_OUTPUT_SHA256))
+def test_command_output_is_byte_identical(capsys, monkeypatch, command, fmt):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0, err
+    want = _OUTPUT_SHA256[command][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# ---------------------------------------------------------------------------
 # global flags
 
 
@@ -347,6 +395,21 @@ def test_closed_stdout_is_one_error_line():
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_broken_pipe_leaks_no_file_descriptor(monkeypatch):
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("needs /proc/self/fd")
+    before = len(os.listdir(fd_dir))
+    for _ in range(3):
+        r, w = os.pipe()
+        os.close(r)
+        with open(w, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["rank", "--max", "3"]) == 2
+            monkeypatch.undo()
+        assert len(os.listdir(fd_dir)) == before
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -454,3 +517,8 @@ def test_fuzzed_command_lines_exit_with_one_error_line_at_most(argv):
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     if code:
         assert err.getvalue().startswith("error: "), argv
+    if code in (2, 3):
+        assert out.getvalue() == "", argv
+    if code == 0 and _parser().parse_args(argv).format == "json":
+        (line,) = out.getvalue().splitlines()
+        json.loads(line)

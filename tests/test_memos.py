@@ -17,7 +17,7 @@ def test_cold_memos_clears_every_memo_it_finds(cold_memos):
     build("x2", 1)
     found = {memo.__name__ for memo in memos()}
     assert {"orbit_array", "orbit_size", "_orbit_pair_product", "_build",
-            "bernoulli", "_parabolic_order", "_shell", "coset_min_norm"} <= found
+            "bernoulli", "_parabolic_order", "_shell", "_norm_over_coset_min"} <= found
     assert any(memo.cache_info().currsize for memo in memos())
     cold_memos()
     for memo in memos():

@@ -32,7 +32,7 @@ print(json.dumps({{
 """
 
 
-@pytest.mark.parametrize("workload", ["expand_deep", "verify_core"])
+@pytest.mark.parametrize("workload", ["expand_deep", "verify_core", "qp_index2"])
 def test_tracer_sees_every_required_span(workload):
     src = os.path.dirname(os.path.dirname(e8jac.__file__))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
