@@ -16,6 +16,9 @@ height product over positive roots (see _parabolic_order). An orbit is
 closed level by level in depth (the length of the shortest Weyl element
 reaching a row from the dominant representative): each level is the
 positive-pairing reflections of the one before, deduplicated on its own.
+The orbit memo holds no coordinates: each orbit row is its packed key
+with two uint8 bit masks, the simple roots it pairs negatively and to
+zero with, taken from the pairings the closure computes anyway.
 Every memo is a functools.cache keyed on exactly what the function reads,
 which for a lattice argument is its coordinates d: a DominantWeight and the
 E8Vector of its coordinates share one entry, so a cached function takes the
@@ -440,9 +443,20 @@ def orbit_size(m: E8Vector) -> int:
     return q
 
 
+# One orbit row: its packed key, and the simple roots it pairs negatively
+# with (neg) and to zero with (zero) as bit masks, bit i for α_{i+1}.
+_ORBIT_DTYPE = np.dtype([("key", np.uint64), ("neg", np.uint8), ("zero", np.uint8)])
+
+
+def _root_bits(mask: np.ndarray) -> np.ndarray:
+    """Bit i of row r set where mask[r, i]: an (n, 8) bool array as n uint8s."""
+    return np.packbits(mask, axis=1, bitorder="little").ravel()
+
+
 @functools.cache
 def orbit_array(m: E8Vector) -> np.ndarray:
-    """The full orbit as a lexicographically sorted (size, 8) int64 array.
+    """The full orbit as a read-only _ORBIT_DTYPE array sorted by key: each
+    row's _pack key with its neg and zero simple-root bit masks.
 
     Closed level by level in the depth of a, #{β > 0 : (β, a) < 0}, the
     length of the shortest w with w·m = a. Where (α_i, a) > 0 the image
@@ -450,13 +464,15 @@ def orbit_array(m: E8Vector) -> np.ndarray:
     simple root with (α_i, a) < 0, whose reflection lowers it by one. So
     level k+1 is exactly the positive-pairing images of level k: the levels
     are disjoint and each is deduplicated on its own, with no seen set.
+    The pairings of each level with the simple roots give its sign bits.
 
     The largest |doubled coordinate| on the orbit is (m, w_1) = m.d[7], so
     one look at m decides whether every row fits a packed key; when they
     all do, keys are linear in the row and an image's key is computed from
     its preimage's. The size is known up front from the stabilizer order,
     which doubles as the budget guard and, with the sorted keys' lack of
-    adjacent duplicates, as a completeness check on the closure.
+    adjacent duplicates, as a completeness check on the closure. Callers
+    that need coordinates _unpack the keys they read.
     """
     size = orbit_size(m)
     limit = element_budget()
@@ -465,9 +481,11 @@ def orbit_array(m: E8Vector) -> np.ndarray:
     if m.d[7] > 127:
         raise BudgetError("lattice row has a doubled coordinate outside [-128, 127]")
     level = np.array([m.d], dtype=np.int64)
-    levels = [_pack(level)]
+    levels, negs, zeros = [_pack(level)], [], []
     while True:
         p4 = level @ _A2.T
+        negs.append(_root_bits(p4 < 0))
+        zeros.append(_root_bits(p4 == 0))
         row, i = np.nonzero(p4 > 0)
         if not row.size:
             break
@@ -475,17 +493,21 @@ def orbit_array(m: E8Vector) -> np.ndarray:
         images.sort()  # numpy's hashing np.unique is far slower on these keys
         levels.append(images[np.concatenate(([True], images[1:] != images[:-1]))])
         level = _unpack(levels[-1])
-    keys = np.sort(np.concatenate(levels))
-    if len(keys) != size or (keys[1:] == keys[:-1]).any():
+    keys = np.concatenate(levels)
+    order = np.argsort(keys, kind="stable")  # timsort: a merge of the sorted levels
+    out = np.empty(len(keys), dtype=_ORBIT_DTYPE)
+    out["key"] = keys[order]
+    out["neg"] = np.concatenate(negs)[order]
+    out["zero"] = np.concatenate(zeros)[order]
+    if len(out) != size or (out["key"][1:] == out["key"][:-1]).any():
         raise CertificationError("orbit closure disagrees with stabilizer order")
-    out = _unpack(keys)
     out.setflags(write=False)
     return out
 
 
 def orbit(m: DominantWeight) -> list[E8Vector]:
     """The orbit as E8Vector objects in deterministic (lex) order."""
-    return [E8Vector(tuple(row)) for row in orbit_array(m)]
+    return [E8Vector(tuple(row)) for row in _unpack(orbit_array(m)["key"]).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .e8 import (
-    _A2,
     ZERO,
     BudgetError,
     CertificationError,
@@ -184,6 +183,8 @@ class InvariantElement:
         return [_key_weight(k) for k in sorted(self.num)]
 
     def coeff(self, m: DominantWeight) -> Fraction:
+        if not isinstance(m, DominantWeight):
+            DominantWeight(m)  # ValueError("not dominant: …") off the chamber
         try:
             v = self.num.get(_key(m.d), 0)
         except BudgetError:  # no stored row lies outside the byte range
@@ -310,7 +311,7 @@ class InvariantElement:
         vd = np.array(v.d, dtype=np.int64)
         out: dict[int, int] = {}
         for key, c in self.num.items():
-            dots = (orbit_array(_key_weight(key)) @ vd) // 4
+            dots = (_unpack(orbit_array(_key_weight(key))["key"]) @ vd) // 4
             exps, counts = np.unique(dots, return_counts=True)
             for e, k in zip(exps.tolist(), counts.tolist()):
                 val = out.get(e, 0) + c * k
@@ -395,7 +396,9 @@ def from_display(pairs) -> InvariantElement:
 # ((α_i, a) >= 0 for i in J), whose W_J-stabilizer is the parabolic
 # subgroup on J ∩ Z(a), Z(a) = {i : (α_i, a) = 0} (Humphreys §1.10–1.12).
 # So U_m sums the weights |W_J|/|W_{J∩Z(a)}| over the J-dominant a with
-# reduce(a + m2) = m. The weights must add up to |orbit(m1)|, which is
+# reduce(a + m2) = m. The orbit memo's sign bits name both sets: a is
+# J-dominant iff neg(a) & J = 0, and J ∩ Z(a) is zero(a) & J, so only the
+# kept keys are unpacked. The weights must add up to |orbit(m1)|, which is
 # checked on every call. A product of orbit sums has integer coefficients
 # (each counts the pairs (a, b) with a + b = m), so |orb(m)| must divide
 # |orb(m2)|·U_m; that is checked on every call too.
@@ -406,14 +409,10 @@ def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElem
     """orb(m1)·orb(m2), passing over orbit(m1): callers put the smaller orbit first."""
     if m2 == ZERO:  # identity element
         return InvariantElement.orbit_sum(m1)
-    rows = orbit_array(m1)
+    orb = orbit_array(m1)
     mask = _stabilizer_mask(m2.d)
-    J = [i for i in range(8) if mask >> i & 1]
-    p4 = rows @ _A2[J].T
-    keep = (p4 >= 0).all(axis=1)
-    masks, bins = np.unique(
-        (p4[keep] == 0) @ (1 << np.array(J, dtype=np.int64)), return_inverse=True
-    )
+    keep = (orb["neg"] & mask) == 0
+    masks, bins = np.unique(orb["zero"][keep] & mask, return_inverse=True)
     order_j = _parabolic_order(mask)
     weights = np.array(
         [order_j // _parabolic_order(int(z)) for z in masks], dtype=np.int64
@@ -422,7 +421,7 @@ def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElem
         raise CertificationError(
             "W_J-orbit weights disagree with the orbit size of the first factor"
         )
-    shifted = rows[keep] + np.array(m2.d, dtype=np.int64)
+    shifted = _unpack(orb["key"][keep]) + np.array(m2.d, dtype=np.int64)
     keys, counts = _sum_by_key(_pack(_batch_reduce(shifted)), weights)
     size2 = orbit_size(m2)
     num = {}

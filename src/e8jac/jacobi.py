@@ -407,7 +407,7 @@ def check_quasi_periodicity(
         return 0
     ns = np.array([n for n, _ in pool], dtype=np.int64)
     rows = _unpack(np.array([k for _, k in pool], dtype=np.uint64))
-    roots = orbit_array(DominantWeight(HIGHEST_ROOT))
+    roots = _unpack(orbit_array(DominantWeight(HIGHEST_ROOT))["key"])
     shifts = np.concatenate([roots, 2 * roots])
     ww = np.repeat(np.array([1, 4], dtype=np.int64), len(roots))  # (v,v)/2
     n2_all = ns[:, None] + (rows @ shifts.T) // 4 + t * ww

@@ -5,7 +5,7 @@ function computes, and is used only by the tests:
 
 * ``inv_mul_brute`` for ``invring.inv_mul`` (orbit-pair products);
 * ``orbit_pair_product_by_full_orbit`` for ``invring._orbit_pair_product``;
-* ``orbit_array_by_seen_set`` for ``e8.orbit_array``;
+* ``orbit_array_by_seen_set`` for ``e8.orbit_array`` (compared on keys);
 * ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
 * ``weight_coordinates_by_pairings`` for ``e8.DominantWeight._from_rows``
   (the fw coordinates of one row by eight scalar pairings);
@@ -86,6 +86,12 @@ from e8jac.linalg import nullspace, rank
 from e8jac.qseries import ModularQSeries, dim_modular
 
 
+def orbit_rows(m: DominantWeight) -> np.ndarray:
+    """The orbit of m as lex-sorted (size, 8) int64 rows: the unpacked keys
+    of e8.orbit_array, which holds no coordinates."""
+    return _unpack(orbit_array(m)["key"])
+
+
 def orbit_array_by_seen_set(m: DominantWeight) -> np.ndarray:
     """The orbit of m as a lex-sorted (size, 8) int64 array, by breadth-first
     closure under all 8 simple reflections against a seen set of sorted
@@ -117,7 +123,7 @@ def orbit_pair_product_by_full_orbit(
         m1, m2 = m2, m1
     if m2 == ZERO:
         return InvariantElement.orbit_sum(m1)
-    shifted = orbit_array(m1) + np.array(m2.d, dtype=np.int64)
+    shifted = orbit_rows(m1) + np.array(m2.d, dtype=np.int64)
     keys, counts = np.unique(_pack(_batch_reduce(shifted)), return_counts=True)
     terms = {}
     for rep, u in zip(_unpack(keys), counts):
@@ -133,8 +139,8 @@ def inv_mul_brute(m1: DominantWeight, m2: DominantWeight) -> dict[DominantWeight
 
     The binning runs on packed row keys; work is chunked to bound memory.
     """
-    a = orbit_array(m1)
-    b = orbit_array(m2)
+    a = orbit_rows(m1)
+    b = orbit_rows(m2)
     chunk = max(1, 2_000_000 // len(b))
     keys: list[np.ndarray] = []
     counts: list[np.ndarray] = []
@@ -326,7 +332,7 @@ def check_quasi_periodicity_by_orbit_scan(a, samples: int = 100, seed: int = 0) 
     pool = [(n, m) for n in range(a.order + 1) for m in a.terms[n].terms]
     if not pool:
         return 0
-    roots = orbit_array(DominantWeight(HIGHEST_ROOT))
+    roots = orbit_rows(DominantWeight(HIGHEST_ROOT))
     done = 0
     attempts = 0
     while done < samples:
@@ -334,7 +340,7 @@ def check_quasi_periodicity_by_orbit_scan(a, samples: int = 100, seed: int = 0) 
         if attempts > 500 * samples:
             raise RuntimeError("could not find enough checkable triples")
         n, m = pool[rng.integers(len(pool))]
-        arr = orbit_array(m)
+        arr = orbit_rows(m)
         r = roots[rng.integers(len(roots))]
         w = int(rng.integers(1, 3))
         # n' = n + w·(l, r) + t·w² across the whole orbit at once
@@ -402,7 +408,7 @@ def max_pairing_by_orbit(m: DominantWeight, two_n: int) -> int:
     if two_n == 0:
         return 0
     md = np.array(m.d, dtype=np.int64)
-    return max(int((orbit_array(rep) @ md).max()) // 4 for rep, _ in shell(two_n))
+    return max(int((orbit_rows(rep) @ md).max()) // 4 for rep, _ in shell(two_n))
 
 
 def _theta_pair_block(max_t2: int) -> dict[tuple[int, tuple[int, int]], int]:
@@ -504,12 +510,12 @@ def inv_mul_by_membership(
     Every dominant m = reduce(a + b) has (m, θ) <= (m1, θ) + (m2, θ) and
     |m| <= |m1| + |m2|, so the candidates are the alcove points under both
     bounds. Each membership test is a searchsorted into the packed keys of
-    orb(m2), which are sorted since the orbit array is lex-sorted.
+    orb(m2), which the orbit memo holds sorted.
     """
     if orbit_size(m1) > orbit_size(m2):
         m1, m2 = m2, m1
-    a = orbit_array(m1)
-    keys2 = _pack(orbit_array(m2))
+    a = orbit_rows(m1)
+    keys2 = orbit_array(m2)["key"]
     n1, n2 = (sum(x * x for x in m.d) for m in (m1, m2))  # 4|m|^2
     out = {}
     for md in alcove(pairing(m1, HIGHEST_ROOT) + pairing(m2, HIGHEST_ROOT)):

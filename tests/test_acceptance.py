@@ -265,7 +265,8 @@ import numpy as np
 from e8jac import (HIGHEST_ROOT, REGISTRY, DominantWeight, build,
                    check_quasi_periodicity, classify, coset_min_norm,
                    orbit_array, weight0_identity)
-roots = orbit_array(DominantWeight(HIGHEST_ROOT))
+from e8jac.e8 import _unpack
+roots = _unpack(orbit_array(DominantWeight(HIGHEST_ROOT))["key"])
 forms = checks = 0
 for name, entry in sorted(REGISTRY.items()):
     if not entry.buildable:

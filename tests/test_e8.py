@@ -45,6 +45,7 @@ from e8jac.invring import SIGMA_LABELS, label_weight
 from oracles import (
     max_pairing_by_orbit,
     orbit_array_by_seen_set,
+    orbit_rows,
     parabolic_order_by_diagram,
     shell_by_enumeration,
     weight_coordinates_by_pairings,
@@ -143,7 +144,7 @@ def test_reduce_preserves_norm_and_lands_dominant():
 
 def test_reduce_constant_on_orbit():
     m = fw(1, 0, 0, 0, 0, 0, 0, 1)
-    arr = orbit_array(m)
+    arr = orbit_rows(m)
     for row in arr[rng.integers(len(arr), size=50)]:
         assert dominant_reduce(E8Vector(tuple(int(x) for x in row))) == m
 
@@ -152,7 +153,7 @@ def test_batch_reduce_matches_reference():
     from e8jac.e8 import _batch_reduce
     from oracles import _batch_reduce_by_reflection
 
-    roots = orbit_array(fw(0, 0, 0, 0, 0, 0, 0, 1))
+    roots = orbit_rows(fw(0, 0, 0, 0, 0, 0, 0, 1))
     for k in (1, 2, 4, 6):
         picks = roots[rng.integers(len(roots), size=(20000, k))].sum(axis=1)
         assert (_batch_reduce(picks) == _batch_reduce_by_reflection(picks)).all()
@@ -234,7 +235,7 @@ def test_non_integral_coordinates_are_rejected():
 def test_orbit_sizes_against_bfs(coords, size):
     m = fw(*coords)
     assert orbit_size(m) == size
-    arr = orbit_array(m)
+    arr = orbit_rows(m)
     assert arr.shape == (size, 8)
     # all distinct, lexicographically sorted
     assert (np.unique(arr, axis=0) == arr).all()
@@ -242,9 +243,9 @@ def test_orbit_sizes_against_bfs(coords, size):
 
 def _assert_same_as_seen_set_closure(m):
     arr = orbit_array(m)
-    ref = orbit_array_by_seen_set(m)
-    assert arr.dtype == ref.dtype == np.int64
-    assert arr.shape == ref.shape and (arr == ref).all()
+    ref = _pack(orbit_array_by_seen_set(m))
+    assert arr.dtype.names == ("key", "neg", "zero")
+    assert arr.shape == ref.shape and (arr["key"] == ref).all()
     assert not arr.flags.writeable
     assert orbit_array(m) is arr
 
@@ -253,6 +254,16 @@ def _assert_same_as_seen_set_closure(m):
     "label", [lab for lab in SIGMA_LABELS if orbit_size(label_weight(lab)) <= 200_000])
 def test_orbit_closure_by_depth_matches_seen_set(label, cold_memos):
     _assert_same_as_seen_set_closure(label_weight(label))
+
+
+@pytest.mark.parametrize("label", SIGMA_LABELS)
+def test_orbit_sign_bits_are_the_simple_root_pairings(label, cold_memos):
+    orb = orbit_array(label_weight(label))
+    p4 = _unpack(orb["key"]) @ _A2.T
+    bits = 1 << np.arange(8)
+    assert (orb["neg"] == (p4 < 0) @ bits).all()
+    assert (orb["zero"] == (p4 == 0) @ bits).all()
+    assert orb.nbytes == 10 * len(orb) == 10 * orbit_size(label_weight(label))
 
 
 @pytest.mark.parametrize("coords", [
@@ -264,7 +275,7 @@ def test_orbit_closure_by_depth_matches_seen_set(label, cold_memos):
 def test_orbit_closure_by_depth_to_the_byte_range(coords, cold_memos):
     m = fw(*coords)
     _assert_same_as_seen_set_closure(m)
-    assert np.abs(orbit_array(m)).max() == m.d[7]
+    assert np.abs(orbit_rows(m)).max() == m.d[7]
 
 
 def test_orbit_beyond_byte_range_raises_before_closure(cold_memos):
@@ -289,7 +300,7 @@ def test_parabolic_order_matches_diagram_classifier():
     roots = _POSITIVE_ROOTS @ _A2
     table = {tuple(r) for r in np.concatenate([roots, -roots]).tolist()}
     assert len(table) == 240
-    assert table == {tuple(r) for r in orbit_array(DominantWeight(HIGHEST_ROOT)).tolist()}
+    assert table == {tuple(r) for r in orbit_rows(HIGHEST_ROOT).tolist()}
 
 
 def test_orbit_size_certifications_fire_under_optimize():
@@ -552,7 +563,7 @@ def brute_coset_min(l, t):
     m_cap = 4 * l.norm() // (t * t)
     for two_j in range(2, m_cap + 1, 2):
         for rep, _ in shell(two_j):
-            arr = orbit_array(rep)
+            arr = orbit_rows(rep)
             cand = np.asarray(l.d, dtype=np.int64) + t * arr
             best = min(best, int((cand * cand).sum(axis=1).min()) // 4)
     return best

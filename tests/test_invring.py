@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,64 @@ def test_pair_product_integrality_is_certified_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == (
         "a product of orbit sums has a coefficient that is not an integer")
+
+
+def test_pair_product_sign_bits_are_certified_under_optimize():
+    # one neg bit inside J flipped each way: a J-dominant row of orb(w8)
+    # that drops out, and a row that is J-dominant but for that bit and
+    # joins in; either way the weights no longer add up to |orb(w8)|
+    code = (
+        "import numpy as np\n"
+        "import e8jac.invring as inv\n"
+        "from e8jac import CertificationError, DominantWeight\n"
+        "w8 = DominantWeight.from_fw((0,) * 7 + (1,))\n"
+        "J = inv._stabilizer_mask(w8.d)\n"
+        "real = inv.orbit_array(w8)\n"
+        "neg = real['neg'] & J\n"
+        "for row, bit in ((np.flatnonzero(neg == 0)[0], 1),\n"
+        "                 (np.flatnonzero(neg == 2)[0], 2)):\n"
+        "    orb = real.copy()\n"
+        "    orb['neg'][row] ^= bit\n"
+        "    inv.orbit_array = lambda m: orb\n"
+        "    try:\n"
+        "        inv._orbit_pair_product.__wrapped__(w8, w8)\n"
+        "    except CertificationError as e:\n"
+        "        print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("E8JAC_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "W_J-orbit weights disagree with the orbit size of the first factor"] * 2
+
+
+def test_deep_build_memory_holds_no_orbit_rows(monkeypatch, cold_memos):
+    # the orbit memo holds a key and two bit masks per row (10 bytes, where
+    # int64 rows took 64), and a pair product unpacks only its kept keys:
+    # int64 orbit rows peaked at 31.7 MB here
+    closed = []
+    real = e8jac.invring.orbit_array
+
+    def recorded(m):
+        closed.append(m)
+        return real(m)
+
+    monkeypatch.setattr(e8jac.invring, "orbit_array", recorded)
+    tracemalloc.start()
+    try:
+        e8jac.catalog.build("phi_-4_2", 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    largest = max(closed, key=orbit_size)
+    assert orbit_size(largest) == 138240
+    assert real(largest).nbytes <= 16 * orbit_size(largest)
 
 
 def test_deep_build_reduces_one_row_per_stabilizer_orbit(monkeypatch, cold_memos):
@@ -342,7 +401,17 @@ def test_terms_is_a_read_only_view_in_key_order():
     with pytest.raises(TypeError):
         e.terms[W8] = Fraction(1)
     assert e.coeff(W8) == Fraction(2 * 240, 240)
-    assert e.coeff(E8Vector((254, 2) + (0,) * 6)) == 0  # outside the byte range
+    assert e.coeff(E8Vector((0,) * 7 + (256,))) == 0  # 64·w1, outside the byte range
+
+
+@pytest.mark.parametrize("d", [(-2, -2) + (0,) * 6, (254, 2) + (0,) * 6])
+def test_coeff_refuses_a_non_dominant_vector(d):
+    # (-2, -2, 0, ...) lies in the orbit of w8, which 3·orb(w8) holds; the
+    # second vector lies outside the byte range as well
+    x = InvariantElement.orbit_sum(W8, 3)
+    with pytest.raises(ValueError, match="not dominant"):
+        x.coeff(E8Vector(d))
+    assert x.coeff(W8) == 3 and x.coeff(E8Vector(W8.d)) == 3
 
 
 def test_dilate_maps_orbits_to_multiples():

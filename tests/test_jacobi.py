@@ -36,7 +36,7 @@ from e8jac import (
     theta_e8,
     weight0_identity,
 )
-from oracles import check_quasi_periodicity_by_orbit_scan
+from oracles import check_quasi_periodicity_by_orbit_scan, orbit_rows
 
 W8 = DominantWeight.from_fw((0, 0, 0, 0, 0, 0, 0, 1))
 W1 = DominantWeight.from_fw((1, 0, 0, 0, 0, 0, 0, 0))
@@ -346,7 +346,7 @@ def _buildable_forms():
 def _checkable_triples(f):
     """How many (n, l, v) have a stored orbit l at q^n, a shift v = w·r
     (r a root, w = 1, 2) and n + (l,v) + t·w² within the truncation."""
-    roots = orbit_array(DominantWeight(HIGHEST_ROOT))
+    roots = orbit_rows(DominantWeight(HIGHEST_ROOT))
     count = 0
     for n in range(f.order + 1):
         for m in f.term(n).terms:
