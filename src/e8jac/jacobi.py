@@ -13,6 +13,8 @@ input terms it consumes and returns only the terms its inputs determine
 from __future__ import annotations
 
 import functools
+import numbers
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -387,19 +389,23 @@ def check_quasi_periodicity(
     family is W-stable, so every check is one at l = m, a stored dominant
     representative. A triple (n, m, v) is checkable when n' <= order; all
     of them come out of one matrix over the stored (n, m), sorted by n and
-    doubled row, and the 480 shifts. The checks are the first
-    min(samples, K) of rng.permutation(K) over the K checkable triples: a
-    random order of them, which depends only on the form's values and the
-    seed. So the check is exhaustive when samples >= K, and costs no more
-    for a larger `samples` (further checks would repeat ones made). The
+    doubled row, and the 480 shifts. The checks are
+    random.Random(seed).sample(range(K), min(samples, K)) of the K checkable
+    triples in that order: drawn without replacement at a cost of
+    O(samples), not O(K), and depending only on the form's values and the
+    seed (which triples a seed picks differs from versions that drew them
+    with numpy). So the check is exhaustive when samples >= K, and costs no
+    more for a larger `samples` (further checks would repeat ones made). The
     images m + t·v are dominant-reduced in one batch. Returns the number of
     checks made, min(samples, K); raises AssertionError on a mismatch,
-    RuntimeError when no triple is checkable and ValueError when samples is
-    negative.
+    RuntimeError when no triple is checkable, TypeError when samples is not
+    an integer and ValueError when it is negative.
     """
     t = a.index
     if t == 0:
         raise ValueError("quasi-periodicity concerns index >= 1")
+    if not isinstance(samples, numbers.Integral):
+        raise TypeError(f"samples must be an integer, got {samples!r}")
     if samples < 0:
         raise ValueError("samples must be non-negative")
     pool = sorted((n, k) for n in range(a.order + 1) for k in a.terms[n].num)
@@ -416,7 +422,9 @@ def check_quasi_periodicity(
     src, shift = np.nonzero(n2_all <= a.order)
     if not len(src):
         raise RuntimeError("no checkable triple at this truncation")
-    pick = np.random.default_rng(seed).permutation(len(src))[:samples]
+    k = len(src)
+    pick = np.array(random.Random(seed).sample(range(k), min(samples, k)),
+                    dtype=np.intp)
     src, shift = src[pick], shift[pick]
     images = _pack(_batch_reduce(rows[src] + t * shifts[shift])).tolist()
     terms = a.terms

@@ -302,6 +302,29 @@ def test_quasi_periodicity_cost_does_not_grow_with_samples():
         check_quasi_periodicity(f, samples=-1)
 
 
+def test_quasi_periodicity_sampling_contract():
+    f = build("x2")
+    assert check_quasi_periodicity(f, samples=0) == 0
+    # a draw without replacement: K - 1 picks are K - 1 distinct triples
+    assert check_quasi_periodicity(f, samples=603, seed=5) == 603
+    bad = _corrupt_phi_m4_2()
+    assert 200 < _checkable_triples(bad)
+
+    def outcome(seed):
+        try:
+            return check_quasi_periodicity(bad, samples=200, seed=seed)
+        except AssertionError as exc:
+            return str(exc)
+
+    for seed in range(3):
+        assert outcome(seed) == outcome(seed)
+    # refused up front, not inside the draw
+    for samples in (2.5, 3.0, "10", None):
+        with pytest.raises(TypeError, match="samples"):
+            check_quasi_periodicity(f, samples=samples)
+    assert check_quasi_periodicity(f, samples=np.int64(7)) == 7
+
+
 def test_quasi_periodicity_catches_corruption():
     th = theta_e8(4)
     bad_terms = list(th.terms)
@@ -441,6 +464,35 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         hits = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not hits, f"{path.name}: assert at lines {hits}"
+
+
+def test_package_never_names_numpy_random():
+    # draws use the stdlib `random`: importing numpy.random costs ms and MB
+    pkg = pathlib.Path(e8jac.__file__).parent
+    for path in sorted(pkg.rglob("*.py")):
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path.name
+
+
+def test_qp_and_properties_suite_never_import_numpy_random():
+    # a fresh interpreter: the test process has numpy.random from the oracles
+    code = (
+        "import contextlib, io, sys\n"
+        "from e8jac import build, check_quasi_periodicity, cli\n"
+        "assert check_quasi_periodicity(build('x2')) == 100\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--suite', 'properties'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("E8JAC_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 # ---------------------------------------------------------------------------
