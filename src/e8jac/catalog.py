@@ -660,6 +660,10 @@ def _hol_rules(t: int) -> tuple[tuple[int, int], ...]:
 
 
 def weak_generator_names(t: int) -> tuple[str, ...]:
+    """The weak generators of index t, in registry order. Raises ValueError
+    outside the indices 1..4 whose generators the registry holds."""
+    if t not in _WEAK_GEN_NAMES:
+        raise ValueError(f"index {t} outside the constructible range 1..4")
     return _WEAK_GEN_NAMES[t]
 
 
@@ -687,8 +691,7 @@ def holomorphic_subspace(weight: int, t: int, order: int) -> list[JacobiQExpansi
     fixes the scale: weight-4 and weight-6 solutions have z=0 value E4 resp.
     E6 (q^0 constant 1); other solutions get leading display coefficient 1.
     """
-    if t not in _WEAK_GEN_NAMES:
-        raise ValueError(f"index {t} outside the constructible range 1..4")
+    names = weak_generator_names(t)
     if weight % 2:
         raise ValueError("weight must be even")
     rules = _hol_rules(t)
@@ -698,7 +701,7 @@ def holomorphic_subspace(weight: int, t: int, order: int) -> list[JacobiQExpansi
             f"order {order} cannot impose the q^{need} holomorphy conditions; "
             f"build with order >= {need}"
         )
-    gens = [build(g, order) for g in _WEAK_GEN_NAMES[t]]
+    gens = [build(g, order) for g in names]
     keys, blocks = _integer_blocks(gens)
     rows, _ = _integer_candidates(weight, gens, blocks, order)
     if not rows:
@@ -807,9 +810,10 @@ def verify_free_module(
     two. Scaling rows keeps the rank, and a vanishing combination x of the
     scaled rows is the combination D·x of the candidates.
     """
+    names = weak_generator_names(t)
     if order is None:
         order = default_order(t)
-    gens = [build(g, order) for g in _WEAK_GEN_NAMES[t]]
+    gens = [build(g, order) for g in names]
     report = ModuleReport(t, len(gens))
     _, blocks = _integer_blocks(gens)
     start = min(g.weight for g in gens)

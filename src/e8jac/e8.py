@@ -385,8 +385,9 @@ def dominant_reduce(v: E8Vector) -> DominantWeight:
 # Poincaré series of a Coxeter group, 1972):
 #     |W_J| = prod (ht α + 1) / ht α  over α > 0 with supp α ⊆ J.
 
-def _positive_roots() -> np.ndarray:
-    """The 120 positive roots as rows of simple-root coefficients.
+def _root_table() -> tuple[np.ndarray, np.ndarray]:
+    """The 240 roots as rows of doubled coordinates in _pack key order (lex
+    order), and the 120 positive roots as rows of simple-root coefficients.
 
     The 240 roots are the D8 roots ±e_i ± e_j and the half-spin vectors
     (±1/2, ..., ±1/2) with an even number of minus signs. The coefficient of
@@ -405,10 +406,10 @@ def _positive_roots() -> np.ndarray:
     positive = coef[(coef >= 0).all(axis=1)]
     if len(positive) != 120:
         raise CertificationError("the root table does not split into 120 ± pairs")
-    return positive
+    return _unpack(np.sort(_pack(roots))), positive
 
 
-_POSITIVE_ROOTS = _positive_roots()
+_ROOT_ROWS, _POSITIVE_ROOTS = _root_table()
 _ROOT_HEIGHTS = _POSITIVE_ROOTS.sum(axis=1)
 _ROOT_SUPPORTS = (_POSITIVE_ROOTS > 0) @ (1 << np.arange(8))
 

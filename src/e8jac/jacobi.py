@@ -20,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .e8 import (
-    HIGHEST_ROOT,
-    DominantWeight,
+    _ROOT_ROWS,
     E8Vector,
     _batch_reduce,
     _key_weight,
@@ -29,7 +28,6 @@ from .e8 import (
     _unpack,
     coset_min_norm,
     dominant_reduce,
-    orbit_array,
     shell,
 )
 from .invring import _ZERO_KEY, InvariantElement, _element, lincomb
@@ -413,9 +411,8 @@ def check_quasi_periodicity(
         return 0
     ns = np.array([n for n, _ in pool], dtype=np.int64)
     rows = _unpack(np.array([k for _, k in pool], dtype=np.uint64))
-    roots = _unpack(orbit_array(DominantWeight(HIGHEST_ROOT))["key"])
-    shifts = np.concatenate([roots, 2 * roots])
-    ww = np.repeat(np.array([1, 4], dtype=np.int64), len(roots))  # (v,v)/2
+    shifts = np.concatenate([_ROOT_ROWS, 2 * _ROOT_ROWS])
+    ww = np.repeat(np.array([1, 4], dtype=np.int64), len(_ROOT_ROWS))  # (v,v)/2
     n2_all = ns[:, None] + (rows @ shifts.T) // 4 + t * ww
     if (n2_all < 0).any():
         raise AssertionError("support bound forbids negative image rows")

@@ -1,15 +1,12 @@
 """Exact linear algebra over the rationals: RREF, rank, nullspace.
 
-Elimination is fraction-free: each row is scaled once to primitive
-integers and rows are combined on Python ints, so no Fraction is built
-until the pivot rows of rref are divided back to Fraction at the end. A
-matrix has exactly one reduced row echelon form, so results do not depend
-on the pivot rule.
-
-rank eliminates forward only, by Bareiss's fraction-free rule (Math. Comp.
-1968): each update is divided exactly by the previous pivot, so entries
-stay minors of the input and there is no back-substitution and no gcd.
-The pivot count of rref is its test oracle.
+Elimination is fraction-free and there is one loop for it: each row is
+scaled once to primitive integers, rows are combined on Python ints and
+each combination is divided by its gcd, so no Fraction is built until the
+pivot rows of rref are divided back to Fraction at the end. rref clears
+every other row in a pivot's column; rank runs the same loop but clears
+only the rows below the pivot and counts the pivots. A matrix has exactly
+one reduced row echelon form, so results do not depend on the pivot rule.
 """
 from __future__ import annotations
 
@@ -28,20 +25,19 @@ def _primitive(row) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns).
+def _eliminate(rows, full: bool):
+    """Fraction-free elimination of the primitive rows. Returns (m, pivots).
 
-    rows: list of equal-length lists of rationals (int or Fraction). Input is
-    not mutated. new_rows holds Fractions and has as many rows as the input;
-    the rows below the rank are zero.
+    m holds primitive integer rows, the pivot rows first and in pivot order,
+    then the rows that became zero. The pivot of a column is its entry of
+    least absolute value among the rows not yet used. With full, the pivot
+    clears every other row in its column (Gauss-Jordan); without, only the
+    rows below it (forward elimination, enough for the pivot count).
     """
     m = [_primitive(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         if r >= len(m):
             break
         live = [i for i in range(r, len(m)) if m[i][c]]
@@ -51,7 +47,7 @@ def rref(rows):
         m[r], m[best] = m[best], m[r]
         prow = m[r]
         p = prow[c]
-        for i in range(len(m)):
+        for i in range(0 if full else r + 1, len(m)):
             f = m[i][c]
             if i != r and f:
                 row = [p * a - f * b for a, b in zip(m[i], prow)]
@@ -59,32 +55,25 @@ def rref(rows):
                 m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
+    return m, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form. Returns (new_rows, pivot_columns).
+
+    rows: list of equal-length lists of rationals (int or Fraction). Input is
+    not mutated. new_rows holds Fractions and has as many rows as the input;
+    the rows below the rank are zero.
+    """
+    m, pivots = _eliminate(rows, full=True)
     out = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
-    out += [[Fraction(0)] * ncols for _ in range(len(m) - r)]
+    out += [[Fraction(0)] * len(row) for row in m[len(pivots):]]
     return out, pivots
 
 
 def rank(rows) -> int:
-    """The rank of a rational matrix, by forward fraction-free elimination.
-
-    After k pivots every entry left is a (k+1)-minor of the primitive rows
-    (Sylvester's identity), so the division by the previous pivot is exact. Rows that
-    become zero are dropped, and so is every column up to the pivot's.
-    """
-    m = [r for r in map(_primitive, rows) if any(r)]
-    rk, prev = 0, 1
-    while m:
-        c = next(j for j, col in enumerate(zip(*m)) if any(col))
-        prow = min((r for r in m if r[c]), key=lambda r: abs(r[c]))
-        p, tail = prow[c], prow[c + 1:]
-        m = [
-            row for row in (
-                [(p * a - r[c] * b) // prev for a, b in zip(r[c + 1:], tail)]
-                for r in m if r is not prow
-            ) if any(row)
-        ]
-        rk, prev = rk + 1, p
-    return rk
+    """The rank of a rational matrix: the pivot count of forward elimination."""
+    return len(_eliminate(rows, full=False)[1])
 
 
 def nullspace(rows, ncols: int):

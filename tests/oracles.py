@@ -31,9 +31,13 @@ function computes, and is used only by the tests:
 * ``inv_mul_by_membership`` for ``invring.inv_mul`` on two orbit sums
   (counts, for each candidate dominant m, the a in orb(m1) with m - a in
   orb(m2), with no dominant reduction);
+* ``rank_by_bareiss`` for ``linalg.rank`` (forward elimination by
+  Bareiss's rule, dividing each update exactly by the previous pivot, where
+  the library divides each combined row by its gcd);
 * ``free_module_report_by_forms`` for ``catalog.verify_free_module`` (builds
   every candidate form E4^a·E6^b·g with ``jf_scale`` and ranks its Fraction
-  coefficients on the sorted (q-power, orbit) columns);
+  coefficients on the sorted (q-power, orbit) columns with
+  ``rank_by_bareiss``);
 * ``holomorphic_subspace_by_forms`` for ``catalog.holomorphic_subspace``
   (builds the same candidate forms, ``_weight_candidates``, reads the
   holomorphy constraints off their Fraction coefficients and sums each
@@ -82,7 +86,7 @@ from e8jac.catalog import (
 )
 from e8jac.invring import InvariantElement, _element
 from e8jac.jacobi import JacobiQExpansion, jf_div_modular, jf_lincomb, jf_scale
-from e8jac.linalg import nullspace, rank
+from e8jac.linalg import _primitive, nullspace
 from e8jac.qseries import ModularQSeries, dim_modular
 
 
@@ -530,6 +534,30 @@ def inv_mul_by_membership(
     return out
 
 
+def rank_by_bareiss(rows) -> int:
+    """The rank of a rational matrix, by forward fraction-free elimination
+    (Bareiss, Math. Comp. 1968).
+
+    After k pivots every entry left is a (k+1)-minor of the primitive rows
+    (Sylvester's identity), so the division by the previous pivot is exact. Rows that
+    become zero are dropped, and so is every column up to the pivot's.
+    """
+    m = [r for r in map(_primitive, rows) if any(r)]
+    rk, prev = 0, 1
+    while m:
+        c = next(j for j, col in enumerate(zip(*m)) if any(col))
+        prow = min((r for r in m if r[c]), key=lambda r: abs(r[c]))
+        p, tail = prow[c], prow[c + 1:]
+        m = [
+            row for row in (
+                [(p * a - r[c] * b) // prev for a, b in zip(r[c + 1:], tail)]
+                for r in m if r is not prow
+            ) if any(row)
+        ]
+        rk, prev = rk + 1, p
+    return rk
+
+
 def free_module_report_by_forms(
     t: int, max_weight: int, order: int | None = None
 ) -> ModuleReport:
@@ -553,7 +581,7 @@ def free_module_report_by_forms(
             {(n, mm) for c in cands for n in range(order + 1) for mm in c.term(n).terms}
         )
         matrix = [[c.term(n).coeff(mm) for (n, mm) in cols] for c in cands]
-        rk = rank(matrix)
+        rk = rank_by_bareiss(matrix)
         ok = rk == expected
         detail = ""
         if not ok:

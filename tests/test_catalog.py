@@ -288,8 +288,14 @@ def test_weak_generator_names():
     assert len(weak_generator_names(2)) == 3
     assert len(weak_generator_names(3)) == 5
     assert len(weak_generator_names(4)) == 10
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="index 5 outside the constructible range 1..4"):
         weak_generator_names(5)
+
+
+@pytest.mark.parametrize("t", [0, 5])
+def test_free_module_refuses_an_index_outside_1_to_4(t):
+    with pytest.raises(ValueError, match=f"index {t} outside the constructible range 1..4"):
+        verify_free_module(t, 16)
 
 
 def test_holomorphy_rules_from_coset_maxima():
@@ -393,6 +399,26 @@ def test_free_module_index2():
 def test_free_module_matches_form_oracle(t, order):
     # the oracle builds every candidate form and ranks Fraction coefficients
     assert verify_free_module(t, 16, order) == free_module_report_by_forms(t, 16, order)
+
+
+# sha256 of repr(verify_free_module(t, max_weight, order).rows), generated
+# while rank still ran Bareiss's elimination: systems deeper than the other
+# tests reach, with the weights that fail. (4, 24) fails where order 2 is
+# too shallow to tell the candidates apart.
+DEEP_FREE_MODULE_PINS = [
+    ((4, 40, 4), [], "ff8a07c8c3ba644daac84b1c1be3c932da4b8e95ef2487a2a6d323ceacf7a6c7"),
+    ((3, 40, None), [40], "9c85fa2dd509cbd92cd22f4ab885cf652510ce6a1a3e03dc03fd6bdfda09b8a5"),
+    ((4, 24, None), [20, 22, 24],
+     "3430b232bd92ea3c0cef35a5b72f2da1afc078d6a1185a5cacbf8942e677f352"),
+]
+
+
+@pytest.mark.parametrize("args, failing, digest", DEEP_FREE_MODULE_PINS,
+                         ids=["t4-w40-order4", "t3-w40", "t4-w24"])
+def test_free_module_deep_systems_are_pinned(args, failing, digest):
+    rep = verify_free_module(*args)
+    assert [w for w, _, _, ok, _ in rep.rows if not ok] == failing
+    assert hashlib.sha256(repr(rep.rows).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])

@@ -23,6 +23,7 @@ from e8jac.e8 import (
     E8Vector,
     _A2,
     _POSITIVE_ROOTS,
+    _ROOT_ROWS,
     _decode_scaled,
     _dn_canonical,
     _pack,
@@ -301,6 +302,11 @@ def test_parabolic_order_matches_diagram_classifier():
     table = {tuple(r) for r in np.concatenate([roots, -roots]).tolist()}
     assert len(table) == 240
     assert table == {tuple(r) for r in orbit_rows(HIGHEST_ROOT).tolist()}
+
+
+def test_root_rows_are_the_root_orbit_in_key_order():
+    # the order fixes which triples a quasi-periodicity seed samples
+    assert np.array_equal(_ROOT_ROWS, orbit_rows(HIGHEST_ROOT))
 
 
 def test_orbit_size_certifications_fire_under_optimize():

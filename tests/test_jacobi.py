@@ -289,7 +289,7 @@ def test_quasi_periodicity_counts_samples():
 
 def test_quasi_periodicity_cost_does_not_grow_with_samples():
     f = build("x2")
-    check_quasi_periodicity(f, samples=1)  # close the root orbit untraced
+    check_quasi_periodicity(f, samples=1)  # warm the memos untraced
     assert _checkable_triples(f) == 604
     tracemalloc.start()
     try:
@@ -449,6 +449,15 @@ def test_quasi_periodicity_closes_only_the_root_orbit():
     for f in forms:
         assert check_quasi_periodicity(f) == 100
     assert orbit_array.cache_info().currsize == before
+
+
+def test_quasi_periodicity_closes_no_orbit():
+    # the 480 shifts come from e8's certified root table
+    forms = [build(name) for name in ("b2", "u12_2", "v14_2", "w16_2", "x2")]
+    orbit_array.cache_clear()
+    for f in forms:
+        assert check_quasi_periodicity(f) == 100
+    assert orbit_array.cache_info().currsize == 0
 
 
 def test_quasi_periodicity_needs_a_checkable_triple():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8jac.linalg import integerize, nullspace, rank, rref
+from oracles import rank_by_bareiss
 
 
 def test_rref_identity():
@@ -142,6 +143,18 @@ def test_rank_is_the_rref_pivot_count(rows):
 @settings(max_examples=150, deadline=None)
 def test_rank_is_the_rref_pivot_count_on_wide_integers(rows):
     assert rank(rows) == len(rref(rows)[1])
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_bareiss_oracle(rows):
+    assert rank(rows) == rank_by_bareiss(rows)
+
+
+@given(rational_matrices(st.integers(min_value=-2**80, max_value=2**80)))
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_bareiss_oracle_on_wide_integers(rows):
+    assert rank(rows) == rank_by_bareiss(rows)
 
 
 def test_rank_builds_no_fraction_on_integer_rows(monkeypatch):
