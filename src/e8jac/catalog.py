@@ -29,13 +29,13 @@ from .e8 import (
     _batch_reduce,
     _dn_canonical,
     _key_weight,
+    _orbit_sizes,
     _pack,
     _sum_by_key,
     _unpack,
     element_budget,
     max_coset_min_norm,
     max_pairing,
-    orbit_size,
 )
 from .invring import SIGMA_LABELS, _element, label_weight
 from .jacobi import (
@@ -216,9 +216,9 @@ def build_phi16_4(order: int) -> JacobiQExpansion:
     terms = []
     for keys, vals in eight.values():
         keys, vals = _sum_by_key(_pack(_batch_reduce(_unpack(keys))), vals)
-        keys = keys.tolist()
         # the coefficient of orb(m) is the raw total over |orb(m)|
-        sizes = [orbit_size(_key_weight(k)) for k in keys]
+        sizes = _orbit_sizes(keys).tolist()
+        keys = keys.tolist()
         den = lcm(*sizes)
         terms.append(_element(
             {k: v * (den // size) for k, v, size in zip(keys, vals.tolist(), sizes)},

@@ -16,9 +16,12 @@ height product over positive roots (see _parabolic_order). An orbit is
 closed level by level in depth (the length of the shortest Weyl element
 reaching a row from the dominant representative): each level is the
 positive-pairing reflections of the one before, deduplicated on its own.
+Levels are closed on weight keys, a byte per fw coordinate, on which the
+simple reflections act linearly, and only to half the depth: the longest
+Weyl element is -1, so the lower levels negated are the upper ones.
 The orbit memo holds no coordinates: each orbit row is its packed key
 with two uint8 bit masks, the simple roots it pairs negatively and to
-zero with, taken from the pairings the closure computes anyway.
+zero with, read off the weight-key bytes.
 Every memo is a functools.cache keyed on exactly what the function reads,
 which for a lattice argument is its coordinates d: a DominantWeight and the
 E8Vector of its coordinates share one entry, so a cached function takes the
@@ -26,12 +29,13 @@ stabilizer mask from the pairings of d with the simple roots
 (_stabilizer_mask), never from fw. Every dedupe or bin of lattice rows
 packs each row into one uint64 key, a byte per doubled coordinate (see
 _pack), so every doubled coordinate must lie in [-128, 127]. A row beyond
-that, which needs norm >= 4096, raises BudgetError; the deepest path in the
-benchmark and the catalog reaches a doubled coordinate of 12. A weighted
-bin sums values over equal keys in one kernel, _sum_by_key. The same key
-as a Python int (_key packs one row, with the same range check) is what
-invariant elements are keyed by; _key_weight turns a key back into its
-DominantWeight, once per key.
+that, which needs norm >= 4096, raises BudgetError. Measured: phi_-4_2
+stores rows with doubled coordinates up to 13 at order 10 and up to 20 at
+order 24, and every registry form at its default order stays within 10.
+A weighted bin sums values over equal keys in one kernel, _sum_by_key. The
+same key as a Python int (_key packs one row, with the same range check)
+is what invariant elements are keyed by; _key_weight turns a key back into
+its DominantWeight, once per key.
 
 W(D_k), the signed permutations with an even number of sign changes, has
 one canonicalization step, _dn_canonical. It is the D7 half of batched
@@ -341,9 +345,6 @@ def _dn_canonical(x: np.ndarray) -> np.ndarray:
 
 
 _SPINOR_D = np.array(_ROOTS_D[0], dtype=np.int64)
-# key(r - c·α_i) = key(r) - c·_ROOT_KEYS[i] (mod 2^64) while every byte of
-# both rows stays in range: the byte offsets cancel.
-_ROOT_KEYS = _pack(_A2) - _pack(np.zeros_like(_A2))
 
 
 def _batch_reduce(arr: np.ndarray) -> np.ndarray:
@@ -434,19 +435,42 @@ def _stabilizer_mask(d: tuple[int, ...]) -> int:
     return sum(1 << i for i, x in enumerate(p4) if x == 0)
 
 
-@functools.cache
-def orbit_size(m: E8Vector) -> int:
-    """|W(E8)-orbit of m| = |W(E8)| / |stabilizer|, computed without enumeration."""
-    stab = _parabolic_order(_stabilizer_mask(m.d))
+def _mask_orbit_size(mask: int) -> int:
+    """|W| / |W_J| for J the set bits of mask: the orbit size of a dominant
+    weight whose fw coordinates vanish exactly on J."""
+    stab = _parabolic_order(mask)
     q, r = divmod(WEYL_ORDER, stab)
     if r:
         raise CertificationError(f"stabilizer order {stab} does not divide |W|")
     return q
 
 
+@functools.cache
+def orbit_size(m: E8Vector) -> int:
+    """|W(E8)-orbit of m| = |W(E8)| / |stabilizer|, computed without enumeration."""
+    return _mask_orbit_size(_stabilizer_mask(m.d))
+
+
 # One orbit row: its packed key, and the simple roots it pairs negatively
 # with (neg) and to zero with (zero) as bit masks, bit i for α_{i+1}.
 _ORBIT_DTYPE = np.dtype([("key", np.uint64), ("neg", np.uint8), ("zero", np.uint8)])
+
+# A weight key is a native uint64 whose byte j in memory holds fw_j + 128,
+# the pairing (α_{j+1}, a) offset into a byte, so a batch of keys viewed as
+# uint8 is the (n, 8) table of its simple-root pairings. A simple reflection acts
+# linearly on fw: fw(s_i·a) = fw(a) - fw_i(a)·(row i of the Cartan matrix),
+# so wkey(s_i·a) = wkey(a) - fw_i(a)·_FW_ROOT_KEYS[i] (mod 2^64) while every
+# byte of both keys stays in range: the byte offsets cancel.
+_FW_ROOT_KEYS = (
+    ((_A2 @ _A2.T) // 4 + 128).astype(np.uint8).view(np.uint64).ravel()
+    - np.full((8, 8), 128, dtype=np.uint8).view(np.uint64).ravel()
+)
+# Packed bytes from weight-key bytes: d + 128 = (fw + 128) @ _W2 + _W2_OFFSET
+# with _W2_OFFSET = 128 - 128·(column sums of _W2). It lies in [1, 255], so
+# uint8 arithmetic, which wraps mod 256, gives it exactly.
+_W2_BYTES = _W2.astype(np.uint8)
+_W2_OFFSET = (128 - 128 * _W2.sum(axis=0)).astype(np.uint8)
+_CHUNK = 8192  # weight keys turned into packed keys at a time
 
 
 def _root_bits(mask: np.ndarray) -> np.ndarray:
@@ -454,26 +478,64 @@ def _root_bits(mask: np.ndarray) -> np.ndarray:
     return np.packbits(mask, axis=1, bitorder="little").ravel()
 
 
+def _orbit_sizes(keys: np.ndarray) -> np.ndarray:
+    """orbit_size of the dominant row of every _pack key, as int64: the
+    stabilizer masks come from one product with the simple roots, and each
+    distinct mask costs one height product."""
+    masks, bins = np.unique(_root_bits((_unpack(keys) @ _A2.T) == 0), return_inverse=True)
+    return np.array([_mask_orbit_size(int(z)) for z in masks], dtype=np.int64)[bins]
+
+
+def _orbit_depth(mask: int) -> int:
+    """D = #{β > 0 : (β, m) != 0} for a dominant m with stabilizer mask: the
+    depth of -m, the deepest row of the orbit."""
+    return int(((_ROOT_SUPPORTS & ~mask) != 0).sum())
+
+
+def _lower_half(m: E8Vector, depth: int) -> tuple[np.ndarray, int]:
+    """The weight keys of the orbit rows of depth 0..depth // 2, level by
+    level, and how many of them lie at depth below depth / 2."""
+    fw = (np.array(m.d, dtype=np.int64) @ _A2.T) // 4
+    level = (fw + 128).astype(np.uint8).view(np.uint64)
+    levels = [level]
+    for _ in range(depth // 2):
+        fwb = level.view(np.uint8).reshape(-1, 8)
+        row, i = np.nonzero(fwb > 128)
+        images = level[row] - (fwb[row, i] - 128).astype(np.uint64) * _FW_ROOT_KEYS[i]
+        images.sort()  # numpy's hashing np.unique is far slower on these keys
+        level = images[np.concatenate(([True], images[1:] != images[:-1]))]
+        levels.append(level)
+    lower = np.concatenate(levels)
+    return lower, len(lower) - (len(level) if depth % 2 == 0 else 0)
+
+
 @functools.cache
 def orbit_array(m: E8Vector) -> np.ndarray:
     """The full orbit as a read-only _ORBIT_DTYPE array sorted by key: each
     row's _pack key with its neg and zero simple-root bit masks.
 
-    Closed level by level in the depth of a, #{β > 0 : (β, a) < 0}, the
-    length of the shortest w with w·m = a. Where (α_i, a) > 0 the image
-    s_i·a has depth one more than a, and every a of positive depth has a
-    simple root with (α_i, a) < 0, whose reflection lowers it by one. So
-    level k+1 is exactly the positive-pairing images of level k: the levels
-    are disjoint and each is deduplicated on its own, with no seen set.
-    The pairings of each level with the simple roots give its sign bits.
+    The depth of a, #{β > 0 : (β, a) < 0}, is the length of the shortest w
+    with w·m = a. Where (α_i, a) > 0 the image s_i·a has depth one more than
+    a, and every a of positive depth has a simple root with (α_i, a) < 0,
+    whose reflection lowers it by one. So level k+1 is exactly the
+    positive-pairing images of level k: the levels are disjoint and each is
+    deduplicated on its own, with no seen set. They are closed on weight
+    keys, whose bytes are the pairings themselves.
 
-    The largest |doubled coordinate| on the orbit is (m, w_1) = m.d[7], so
-    one look at m decides whether every row fits a packed key; when they
-    all do, keys are linear in the row and an image's key is computed from
-    its preimage's. The size is known up front from the stabilizer order,
-    which doubles as the budget guard and, with the sorted keys' lack of
-    adjacent duplicates, as a completeness check on the closure. Callers
-    that need coordinates _unpack the keys they read.
+    The longest element of W(E8) is -1 (Humphreys, Reflection Groups and
+    Coxeter Groups, §3.20), and depth(-a) = D - depth(a) with
+    D = #{β > 0 : (β, m) != 0}. So only levels 0..D // 2 are closed; the
+    rows below depth D / 2, negated, are the levels above it. A packed key
+    negates byte by byte mod 256, and -a pairs negatively exactly where a
+    pairs positively.
+
+    The largest |doubled coordinate| on the orbit is (m, w_1) = m.d[7], and
+    every fw coordinate is some (β, m) with |(β, m)| <= (θ, m) =
+    (m.d[6] + m.d[7]) / 2 <= m.d[7]; so one look at m decides whether every
+    row fits both keys. The size is known up front from the stabilizer
+    order, which doubles as the budget guard and, with the sorted keys'
+    lack of adjacent duplicates, as a completeness check on the closure.
+    Callers that need coordinates _unpack the keys they read.
     """
     size = orbit_size(m)
     limit = element_budget()
@@ -481,25 +543,36 @@ def orbit_array(m: E8Vector) -> np.ndarray:
         raise BudgetError(f"orbit of size {size} exceeds element budget {limit}")
     if m.d[7] > 127:
         raise BudgetError("lattice row has a doubled coordinate outside [-128, 127]")
-    level = np.array([m.d], dtype=np.int64)
-    levels, negs, zeros = [_pack(level)], [], []
-    while True:
-        p4 = level @ _A2.T
-        negs.append(_root_bits(p4 < 0))
-        zeros.append(_root_bits(p4 == 0))
-        row, i = np.nonzero(p4 > 0)
-        if not row.size:
-            break
-        images = levels[-1][row] - (p4[row, i] // 4).astype(np.uint64) * _ROOT_KEYS[i]
-        images.sort()  # numpy's hashing np.unique is far slower on these keys
-        levels.append(images[np.concatenate(([True], images[1:] != images[:-1]))])
-        level = _unpack(levels[-1])
-    keys = np.concatenate(levels)
-    order = np.argsort(keys, kind="stable")  # timsort: a merge of the sorted levels
+    lower, n_below = _lower_half(m, _orbit_depth(_stabilizer_mask(m.d)))
+    n = len(lower)
+    keys = np.empty(n + n_below, dtype=np.uint64)
+    negs = np.empty(n + n_below, dtype=np.uint8)
+    zeros = np.empty(n + n_below, dtype=np.uint8)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        fwb = lower[lo:hi].view(np.uint8).reshape(-1, 8)
+        packed = fwb @ _W2_BYTES
+        packed += _W2_OFFSET
+        keys[lo:hi] = packed.view(">u8").ravel()
+        negs[lo:hi] = _root_bits(fwb < 128)
+        zeros[lo:hi] = _root_bits(fwb == 128)
+    del lower
+    # Sorted, the lower rows are one ascending run of keys; negation reverses
+    # the lex order of rows, so the rows below depth D / 2, negated and read
+    # backwards, are a second one, and the final sort is a merge.
+    order = np.argsort(keys[:n], kind="stable")
+    below = order[order < n_below][::-1]
+    keys[n:] = np.negative(keys[below].view(np.uint8)).view(np.uint64)
+    negs[n:] = ~(negs[below] | zeros[below])
+    zeros[n:] = zeros[below]
+    keys[:n], negs[:n], zeros[:n] = keys[order], negs[order], zeros[order]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     out = np.empty(len(keys), dtype=_ORBIT_DTYPE)
-    out["key"] = keys[order]
-    out["neg"] = np.concatenate(negs)[order]
-    out["zero"] = np.concatenate(zeros)[order]
+    out["key"] = keys
+    del keys
+    out["neg"] = negs[order]
+    out["zero"] = zeros[order]
     if len(out) != size or (out["key"][1:] == out["key"][:-1]).any():
         raise CertificationError("orbit closure disagrees with stabilizer order")
     out.setflags(write=False)

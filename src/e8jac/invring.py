@@ -33,6 +33,7 @@ from .e8 import (
     _batch_reduce,
     _key,
     _key_weight,
+    _orbit_sizes,
     _pack,
     _parabolic_order,
     _stabilizer_mask,
@@ -423,16 +424,13 @@ def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElem
         )
     shifted = _unpack(orb["key"][keep]) + np.array(m2.d, dtype=np.int64)
     keys, counts = _sum_by_key(_pack(_batch_reduce(shifted)), weights)
-    size2 = orbit_size(m2)
-    num = {}
-    for k, u in zip(keys.tolist(), counts.tolist()):
-        q, r = divmod(u * size2, orbit_size(_key_weight(k)))
-        if r:
-            raise CertificationError(
-                "a product of orbit sums has a coefficient that is not an integer"
-            )
-        num[k] = q
-    return _element(num, 1)
+    # U_m·|orb(m2)| <= |W|^2 < 2^63, so int64 holds it
+    num, rem = np.divmod(counts * orbit_size(m2), _orbit_sizes(keys))
+    if rem.any():
+        raise CertificationError(
+            "a product of orbit sums has a coefficient that is not an integer"
+        )
+    return _element(dict(zip(keys.tolist(), num.tolist())), 1)
 
 
 def inv_mul(x: InvariantElement, y: InvariantElement) -> InvariantElement:

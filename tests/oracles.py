@@ -5,7 +5,9 @@ function computes, and is used only by the tests:
 
 * ``inv_mul_brute`` for ``invring.inv_mul`` (orbit-pair products);
 * ``orbit_pair_product_by_full_orbit`` for ``invring._orbit_pair_product``;
-* ``orbit_array_by_seen_set`` for ``e8.orbit_array`` (compared on keys);
+* ``orbit_array_by_seen_set`` for ``e8.orbit_array`` (compared on keys),
+  and its breadth-first levels ``orbit_levels_by_seen_set``, whose count
+  is the orbit's depth;
 * ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
 * ``weight_coordinates_by_pairings`` for ``e8.DominantWeight._from_rows``
   (the fw coordinates of one row by eight scalar pairings);
@@ -96,13 +98,14 @@ def orbit_rows(m: DominantWeight) -> np.ndarray:
     return _unpack(orbit_array(m)["key"])
 
 
-def orbit_array_by_seen_set(m: DominantWeight) -> np.ndarray:
-    """The orbit of m as a lex-sorted (size, 8) int64 array, by breadth-first
-    closure under all 8 simple reflections against a seen set of sorted
-    packed keys. Every level searches and inserts into the whole seen set.
-    Not cached."""
+def orbit_levels_by_seen_set(m: DominantWeight) -> list[np.ndarray]:
+    """The orbit of m as its breadth-first levels under all 8 simple
+    reflections: level k holds the sorted packed keys at k reflections from
+    m and no fewer, found against a seen set of sorted packed keys. Every
+    level searches and inserts into the whole seen set. Not cached."""
     frontier = np.array([m.d], dtype=np.int64)
     seen = _pack(frontier)
+    levels = [seen]
     while frontier.size:
         p4 = frontier @ _A2.T
         images = [frontier - (p4[:, i : i + 1] // 4) * _A2[i] for i in range(8)]
@@ -112,10 +115,17 @@ def orbit_array_by_seen_set(m: DominantWeight) -> np.ndarray:
         if not fresh.size:
             break
         seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
+        levels.append(fresh)
         frontier = _unpack(fresh)
     if len(seen) != orbit_size(m):
         raise AssertionError("orbit closure disagrees with stabilizer order")
-    return _unpack(seen)
+    return levels
+
+
+def orbit_array_by_seen_set(m: DominantWeight) -> np.ndarray:
+    """The orbit of m as a lex-sorted (size, 8) int64 array: the levels of
+    orbit_levels_by_seen_set, merged."""
+    return _unpack(np.sort(np.concatenate(orbit_levels_by_seen_set(m))))
 
 
 def orbit_pair_product_by_full_orbit(

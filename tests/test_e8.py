@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from e8jac.e8 import (
     _ROOT_ROWS,
     _decode_scaled,
     _dn_canonical,
+    _orbit_depth,
     _pack,
     _parabolic_order,
     _unpack,
@@ -46,6 +48,7 @@ from e8jac.invring import SIGMA_LABELS, label_weight
 from oracles import (
     max_pairing_by_orbit,
     orbit_array_by_seen_set,
+    orbit_levels_by_seen_set,
     orbit_rows,
     parabolic_order_by_diagram,
     shell_by_enumeration,
@@ -265,6 +268,48 @@ def test_orbit_sign_bits_are_the_simple_root_pairings(label, cold_memos):
     assert (orb["neg"] == (p4 < 0) @ bits).all()
     assert (orb["zero"] == (p4 == 0) @ bits).all()
     assert orb.nbytes == 10 * len(orb) == 10 * orbit_size(label_weight(label))
+
+
+# Every stabilizer type J whose orbit has at most 250,000 rows, as its mask:
+# 16 types, 7 with an even orbit depth D and 9 with an odd one.
+_SMALL_TYPES = [mask for mask in range(256)
+                if WEYL_ORDER // _parabolic_order(mask) <= 250_000]
+
+
+def test_small_stabilizer_types_have_both_depth_parities():
+    depths = [_orbit_depth(mask) for mask in _SMALL_TYPES]
+    assert len(depths) == 16
+    assert sum(d % 2 == 0 for d in depths) == 7
+
+
+@pytest.mark.parametrize("mask", _SMALL_TYPES)
+def test_orbit_closure_over_half_the_depth_matches_seen_set(mask, cold_memos):
+    # the weight sum of w_{i+1} over i not in J has stabilizer exactly W_J
+    m = fw(*(0 if mask >> i & 1 else 1 for i in range(8)))
+    levels = orbit_levels_by_seen_set(m)
+    assert len(levels) - 1 == _orbit_depth(mask)
+    orb = orbit_array(m)
+    ref = np.sort(np.concatenate(levels))
+    assert (orb["key"] == ref).all()
+    p4 = _unpack(ref) @ _A2.T
+    bits = 1 << np.arange(8)
+    assert (orb["neg"] == (p4 < 0) @ bits).all()
+    assert (orb["zero"] == (p4 == 0) @ bits).all()
+    # w_0 = -1: the orbit is closed under negation
+    assert (np.sort(_pack(-_unpack(ref))) == ref).all()
+
+
+def test_orbit_closure_peak_memory_per_row(cold_memos):
+    m = fw(1, 0, 0, 0, 0, 1, 0, 0)
+    orbit_size(m)
+    tracemalloc.start()
+    try:
+        orb = orbit_array(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orb) == 604_800
+    assert peak <= 48 * len(orb)
 
 
 @pytest.mark.parametrize("coords", [
