@@ -21,7 +21,12 @@ simple reflections act linearly, and only to half the depth: the longest
 Weyl element is -1, so the lower levels negated are the upper ones.
 The orbit memo holds no coordinates: each orbit row is its packed key
 with two uint8 bit masks, the simple roots it pairs negatively and to
-zero with, read off the weight-key bytes.
+zero with. Both masks and the packed key come from word arithmetic on the
+weight key: a gather of each byte's top bit, an exact zero-byte test,
+and one linear map mod 2^64 (_sign_bits, _packed_keys).
+Shells are cut out of the scaled alcove, and a theta build takes every
+shell up to its order from one alcove walk, certifying each shell's size
+by the theta-series identity (_shell_keys).
 Every memo is a functools.cache keyed on exactly what the function reads,
 which for a lattice argument is its coordinates d: a DominantWeight and the
 E8Vector of its coordinates share one entry, so a cached function takes the
@@ -207,6 +212,7 @@ HIGHEST_ROOT = FUNDAMENTAL_WEIGHTS[7]
 
 _A2 = np.array(_ROOTS_D, dtype=np.int64)  # (8, 8), rows are doubled roots
 _W2 = np.array(_WEIGHTS_D, dtype=np.int64)
+_BITS = 1 << np.arange(8)  # bit i stands for α_{i+1} in every root mask
 
 
 def pairing(a: E8Vector, b: E8Vector) -> int:
@@ -412,7 +418,7 @@ def _root_table() -> tuple[np.ndarray, np.ndarray]:
 
 _ROOT_ROWS, _POSITIVE_ROOTS = _root_table()
 _ROOT_HEIGHTS = _POSITIVE_ROOTS.sum(axis=1)
-_ROOT_SUPPORTS = (_POSITIVE_ROOTS > 0) @ (1 << np.arange(8))
+_ROOT_SUPPORTS = (_POSITIVE_ROOTS > 0) @ _BITS
 
 
 @functools.cache
@@ -426,6 +432,7 @@ def _parabolic_order(mask: int) -> int:
     return q
 
 
+@functools.cache
 def _stabilizer_mask(d: tuple[int, ...]) -> int:
     """J = {i : (α_i, d) = 0} as a bit mask, for the doubled coordinates d of
     a dominant vector, whose stabilizer is then W_J."""
@@ -465,25 +472,75 @@ _FW_ROOT_KEYS = (
     ((_A2 @ _A2.T) // 4 + 128).astype(np.uint8).view(np.uint64).ravel()
     - np.full((8, 8), 128, dtype=np.uint8).view(np.uint64).ravel()
 )
-# Packed bytes from weight-key bytes: d + 128 = (fw + 128) @ _W2 + _W2_OFFSET
-# with _W2_OFFSET = 128 - 128·(column sums of _W2). It lies in [1, 255], so
-# uint8 arithmetic, which wraps mod 256, gives it exactly.
-_W2_BYTES = _W2.astype(np.uint8)
-_W2_OFFSET = (128 - 128 * _W2.sum(axis=0)).astype(np.uint8)
+# The packed key is linear in fw: _pack(fw @ _W2) = sum_j fw_j·_KEY_STEPS[j]
+# + _pack(0) (mod 2^64), with _KEY_STEPS[j] the key of row j of _W2 less
+# _pack(0). Every byte of the sum is d + 128 in [1, 255] when every doubled
+# coordinate lies in [-127, 127], so no carry crosses a byte and the sum
+# mod 2^64 is the key exactly. With fw_j = byte_j - 128 it is
+# sum_j byte_j·_KEY_STEPS[j] + _KEY_OFFSET, summed a byte column at a time
+# so that no (n, 8) uint64 table is formed.
+_KEY_STEPS = _pack(_W2) - _pack(np.zeros((1, 8), dtype=np.int64))
+_KEY_OFFSET = (_pack(np.zeros((1, 8), dtype=np.int64)) - 128 * _KEY_STEPS.sum(keepdims=True))[0]
+# Word masks of each byte's top bit and low seven bits, and the multiplier
+# that gathers bit 8j + 7 of a word into bit 56 + j (Warren, Hacker's
+# Delight, §7-1): its partial products land on distinct bits, so none carries.
+_HIGH = np.uint64(0x8080808080808080)
+_LOW = np.uint64(0x7F7F7F7F7F7F7F7F)
+_GATHER = np.uint64(0x0102040810204080)
 _CHUNK = 8192  # weight keys turned into packed keys at a time
 
 
-def _root_bits(mask: np.ndarray) -> np.ndarray:
-    """Bit i of row r set where mask[r, i]: an (n, 8) bool array as n uint8s."""
-    return np.packbits(mask, axis=1, bitorder="little").ravel()
+def _packed_keys(w: np.ndarray) -> np.ndarray:
+    """The _pack key of the row of every weight key in w (uint64), for rows
+    whose doubled coordinates lie in [-127, 127]."""
+    fwb = w.view(np.uint8).reshape(-1, 8)
+    keys = np.full(len(w), _KEY_OFFSET)
+    for j, step in enumerate(_KEY_STEPS):
+        keys += fwb[:, j] * step
+    return keys
+
+
+def _top_bits(h: np.ndarray) -> np.ndarray:
+    """Bit j of the result is bit 7 of byte j of each word of h, as uint8,
+    for words with no other bit set. Works in place: h is overwritten."""
+    h >>= np.uint64(7)
+    h *= _GATHER
+    h >>= np.uint64(56)
+    return h.astype(np.uint8)
+
+
+def _sign_bits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neg and zero simple-root masks of every weight key in w: bit j
+    where fw_j < 0, that is byte j < 128 (its top bit clear), and where
+    fw_j = 0, that is byte j of v = w ^ _HIGH is zero. The zero-byte test
+    is exact, with no carry between bytes (Hacker's Delight, §6-1): the
+    top bit of byte j of ((v & _LOW) + _LOW) | v is clear iff that byte of
+    v is zero. Both masks gather the bytes whose top bit is set and are
+    inverted as uint8, which spares a uint64 inversion. The zero test and
+    the gathers run in place, so a chunk holds at most three word arrays."""
+    w = w.view("<u8")  # byte j of each word is byte j in memory
+    v = w ^ _HIGH
+    h = v & _LOW
+    h += _LOW
+    h |= v
+    h &= _HIGH
+    return ~_top_bits(w & _HIGH), ~_top_bits(h)
+
+
+def _by_mask(masks: np.ndarray, value) -> np.ndarray:
+    """value(z) for every root mask z in masks, as int64, with one call per
+    distinct mask, found by a bincount over the 256 masks."""
+    table = np.zeros(256, dtype=np.int64)
+    for z in np.flatnonzero(np.bincount(masks, minlength=256)).tolist():
+        table[z] = value(z)
+    return table[masks]
 
 
 def _orbit_sizes(keys: np.ndarray) -> np.ndarray:
     """orbit_size of the dominant row of every _pack key, as int64: the
     stabilizer masks come from one product with the simple roots, and each
     distinct mask costs one height product."""
-    masks, bins = np.unique(_root_bits((_unpack(keys) @ _A2.T) == 0), return_inverse=True)
-    return np.array([_mask_orbit_size(int(z)) for z in masks], dtype=np.int64)[bins]
+    return _by_mask(((_unpack(keys) @ _A2.T) == 0) @ _BITS, _mask_orbit_size)
 
 
 def _orbit_depth(mask: int) -> int:
@@ -520,7 +577,9 @@ def orbit_array(m: E8Vector) -> np.ndarray:
     whose reflection lowers it by one. So level k+1 is exactly the
     positive-pairing images of level k: the levels are disjoint and each is
     deduplicated on its own, with no seen set. They are closed on weight
-    keys, whose bytes are the pairings themselves.
+    keys, whose bytes are the pairings themselves, and each row's packed
+    key and sign bits are read off its weight key by word arithmetic
+    (_packed_keys, _sign_bits), 8,192 rows at a time.
 
     The longest element of W(E8) is -1 (Humphreys, Reflection Groups and
     Coxeter Groups, §3.20), and depth(-a) = D - depth(a) with
@@ -550,12 +609,8 @@ def orbit_array(m: E8Vector) -> np.ndarray:
     zeros = np.empty(n + n_below, dtype=np.uint8)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        fwb = lower[lo:hi].view(np.uint8).reshape(-1, 8)
-        packed = fwb @ _W2_BYTES
-        packed += _W2_OFFSET
-        keys[lo:hi] = packed.view(">u8").ravel()
-        negs[lo:hi] = _root_bits(fwb < 128)
-        zeros[lo:hi] = _root_bits(fwb == 128)
+        keys[lo:hi] = _packed_keys(lower[lo:hi])
+        negs[lo:hi], zeros[lo:hi] = _sign_bits(lower[lo:hi])
     del lower
     # Sorted, the lower rows are one ascending run of keys; negation reverses
     # the lex order of rows, so the rows below depth D / 2, negated and read
@@ -626,15 +681,45 @@ def alcove(t: int) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def _shell_keys(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For n = lo..hi, the sorted _pack keys of the representatives of the
+    norm-2n shell and their orbit sizes, all from one alcove walk.
+
+    By Cauchy–Schwarz (m, θ)^2 <= 2(m, m), so alcove(isqrt(4 * hi)) holds
+    every representative of norm up to 2 * hi. That walk is bounded by the
+    element budget, and only its rows of norm 2 * lo..2 * hi are sized.
+    Each shell's completeness is certified by the theta-series identity:
+    total size = 240 * sigma_3(n).
+    """
+    rows = alcove(isqrt(4 * hi))
+    n = (rows * rows).sum(axis=1) // 8
+    keep = (lo <= n) & (n <= hi)
+    by_norm = np.argsort(n[keep], kind="stable")  # each shell stays lex-sorted
+    n = n[keep][by_norm]
+    keys = _pack(rows[keep][by_norm])
+    sizes = _orbit_sizes(keys)
+    cuts = np.searchsorted(n, np.arange(lo, hi + 2)).tolist()
+    totals = np.concatenate(([0], np.cumsum(sizes)))[cuts].tolist()
+    out = []
+    for k in range(lo, hi + 1):
+        a, b = cuts[k - lo], cuts[k - lo + 1]
+        total = totals[k - lo + 1] - totals[k - lo]
+        expect = 1 if k == 0 else 240 * sigma_pow(k, 3)
+        if total != expect:
+            raise CertificationError(f"shell {2 * k}: {total} points, expected {expect}")
+        out.append((keys[a:b], sizes[a:b]))
+    return out
+
+
 def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
     """Orbit decomposition of the norm-2n shell, with orbit sizes.
 
-    Representatives are the alcove points of that norm: by Cauchy–Schwarz
-    (m, θ)^2 <= 2(m, m), so alcove(isqrt(2 * two_n)) holds them all. That
-    walk is bounded by the element budget, so a large norm raises
-    BudgetError (from two_n = 2048 at the default budget). Sizes
-    come from the stabilizer order. Completeness is certified by the
-    theta-series identity: total size = 240 * sigma_3(n).
+    Representatives are the alcove points of that norm, cut out of one
+    alcove walk that sizes only them (_shell_keys), so a large norm raises
+    BudgetError (from two_n = 2048 at the default budget). Sizes come from
+    the stabilizer order, and the total is certified by the theta-series
+    identity. A theta build takes all its shells from one walk of its own
+    (jacobi.theta_e8) and does not go through here.
     """
     if two_n < 0 or two_n % 2:
         raise ValueError("shell norm must be even and non-negative")
@@ -643,14 +728,8 @@ def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
 
 @functools.cache
 def _shell(two_n: int) -> tuple[tuple[DominantWeight, int], ...]:
-    rows = alcove(isqrt(2 * two_n))
-    rows = rows[(rows * rows).sum(axis=1) == 4 * two_n]
-    out = tuple((m, orbit_size(m)) for m in DominantWeight._from_rows(rows))
-    total = sum(s for _, s in out)
-    expect = 1 if two_n == 0 else 240 * sigma_pow(two_n // 2, 3)
-    if total != expect:
-        raise CertificationError(f"shell {two_n}: {total} points, expected {expect}")
-    return out
+    ((keys, sizes),) = _shell_keys(two_n // 2, two_n // 2)
+    return tuple(zip(DominantWeight._from_rows(_unpack(keys)), sizes.tolist()))
 
 
 # ---------------------------------------------------------------------------

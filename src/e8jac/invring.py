@@ -31,6 +31,7 @@ from .e8 import (
     DominantWeight,
     E8Vector,
     _batch_reduce,
+    _by_mask,
     _key,
     _key_weight,
     _orbit_sizes,
@@ -399,7 +400,8 @@ def from_display(pairs) -> InvariantElement:
 # So U_m sums the weights |W_J|/|W_{J∩Z(a)}| over the J-dominant a with
 # reduce(a + m2) = m. The orbit memo's sign bits name both sets: a is
 # J-dominant iff neg(a) & J = 0, and J ∩ Z(a) is zero(a) & J, so only the
-# kept keys are unpacked. The weights must add up to |orbit(m1)|, which is
+# kept keys are unpacked, and the weights take one cached stabilizer order
+# per distinct J ∩ Z(a) (e8._by_mask). The weights must add up to |orbit(m1)|, which is
 # checked on every call. A product of orbit sums has integer coefficients
 # (each counts the pairs (a, b) with a + b = m), so |orb(m)| must divide
 # |orb(m2)|·U_m; that is checked on every call too.
@@ -413,11 +415,8 @@ def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElem
     orb = orbit_array(m1)
     mask = _stabilizer_mask(m2.d)
     keep = (orb["neg"] & mask) == 0
-    masks, bins = np.unique(orb["zero"][keep] & mask, return_inverse=True)
     order_j = _parabolic_order(mask)
-    weights = np.array(
-        [order_j // _parabolic_order(int(z)) for z in masks], dtype=np.int64
-    )[bins]
+    weights = _by_mask(orb["zero"][keep] & mask, lambda z: order_j // _parabolic_order(z))
     if int(weights.sum()) != orbit_size(m1):
         raise CertificationError(
             "W_J-orbit weights disagree with the orbit size of the first factor"

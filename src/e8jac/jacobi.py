@@ -25,10 +25,10 @@ from .e8 import (
     _batch_reduce,
     _key_weight,
     _pack,
+    _shell_keys,
     _unpack,
     coset_min_norm,
     dominant_reduce,
-    shell,
 )
 from .invring import _ZERO_KEY, InvariantElement, _element, lincomb
 from .qseries import ModularQSeries, eisenstein
@@ -192,13 +192,14 @@ class JacobiQExpansion:
 
 def theta_e8(order: int) -> JacobiQExpansion:
     """Theta series of the lattice: weight 4, index 1; the q^n term is the
-    characteristic sum of the norm-2n shell."""
-    terms = []
-    for n in range(order + 1):
-        terms.append(
-            InvariantElement({m: Fraction(1) for m, _size in shell(2 * n)})
-        )
-    return JacobiQExpansion(4, 1, terms)
+    characteristic sum of the norm-2n shell. Every shell comes from one
+    alcove walk, charged against the element budget before any shell is
+    sized, and each is certified by the theta-series identity."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    return JacobiQExpansion(4, 1, [
+        _element(dict.fromkeys(keys.tolist(), 1), 1) for keys, _ in _shell_keys(0, order)
+    ])
 
 
 def jf_lincomb(parts) -> JacobiQExpansion:

@@ -8,6 +8,10 @@ function computes, and is used only by the tests:
 * ``orbit_array_by_seen_set`` for ``e8.orbit_array`` (compared on keys),
   and its breadth-first levels ``orbit_levels_by_seen_set``, whose count
   is the orbit's depth;
+* ``packed_keys_by_bytes`` and ``sign_bits_by_bytes`` for ``e8._packed_keys``
+  and ``e8._sign_bits`` (a uint8 product with the fundamental weights and
+  ``np.packbits`` over byte comparisons, where the library works on whole
+  words);
 * ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
 * ``weight_coordinates_by_pairings`` for ``e8.DominantWeight._from_rows``
   (the fw coordinates of one row by eight scalar pairings);
@@ -54,6 +58,7 @@ import numpy as np
 
 from e8jac.e8 import (
     _A2,
+    _W2,
     HIGHEST_ROOT,
     SIMPLE_ROOTS,
     WEYL_ORDER,
@@ -96,6 +101,35 @@ def orbit_rows(m: DominantWeight) -> np.ndarray:
     """The orbit of m as lex-sorted (size, 8) int64 rows: the unpacked keys
     of e8.orbit_array, which holds no coordinates."""
     return _unpack(orbit_array(m)["key"])
+
+
+# Packed bytes from weight-key bytes: d + 128 = (fw + 128) @ _W2 + _W2_OFFSET
+# with _W2_OFFSET = 128 - 128·(column sums of _W2). It lies in [1, 255] for
+# doubled coordinates in [-127, 127], so uint8 arithmetic, which wraps mod
+# 256, gives it exactly.
+_W2_BYTES = _W2.astype(np.uint8)
+_W2_OFFSET = (128 - 128 * _W2.sum(axis=0)).astype(np.uint8)
+
+
+def _root_bits(mask: np.ndarray) -> np.ndarray:
+    """Bit i of row r set where mask[r, i]: an (n, 8) bool array as n uint8s."""
+    return np.packbits(mask, axis=1, bitorder="little").ravel()
+
+
+def packed_keys_by_bytes(w: np.ndarray) -> np.ndarray:
+    """The _pack key of the row of every weight key in w (byte j in memory
+    holds fw_j + 128), one row byte at a time in uint8 arithmetic."""
+    fwb = w.view(np.uint8).reshape(-1, 8)
+    packed = fwb @ _W2_BYTES
+    packed += _W2_OFFSET
+    return packed.view(">u8").ravel().astype(np.uint64)
+
+
+def sign_bits_by_bytes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neg and zero simple-root masks of every weight key in w, from an
+    (n, 8) table of byte comparisons each."""
+    fwb = w.view(np.uint8).reshape(-1, 8)
+    return _root_bits(fwb < 128), _root_bits(fwb == 128)
 
 
 def orbit_levels_by_seen_set(m: DominantWeight) -> list[np.ndarray]:

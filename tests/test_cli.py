@@ -111,6 +111,29 @@ def test_shell_budget(capsys):
     assert "budget" in err
 
 
+def test_theta_build_is_charged_for_its_one_alcove_walk(capsys, monkeypatch, cold_memos):
+    # every shell of a theta build comes from one walk, alcove(isqrt(4 * order)),
+    # which is charged against the budget before any shell is sized
+    import e8jac.e8 as e8
+
+    full, calls = e8.alcove, []
+
+    def alcove(t):
+        calls.append(t)
+        return full(t)
+
+    monkeypatch.setattr(e8, "alcove", alcove)
+    code, _, _ = run(capsys, "expand", "--form", "theta_e8", "--order", "12")
+    assert code == 0 and calls == [6]
+    calls.clear()
+    # alcove(12) holds 270 points
+    code, out, err = run(capsys, "--budget", "100", "expand", "--form", "theta_e8",
+                         "--order", "36")
+    assert code == 2 and out == "" and calls == [12]
+    assert err.startswith("error: alcove walk at t=12 reaches ")
+    assert err.endswith(" points, over element budget 100\n") and err.count("\n") == 1
+
+
 def test_rank_budget(capsys):
     code, out, err = run(capsys, "--budget", "100", "rank", "--max", "1000")
     assert code == 2 and out == ""

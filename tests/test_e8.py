@@ -29,7 +29,9 @@ from e8jac.e8 import (
     _dn_canonical,
     _orbit_depth,
     _pack,
+    _packed_keys,
     _parabolic_order,
+    _sign_bits,
     _unpack,
     alcove,
     coset_min_norm,
@@ -50,8 +52,10 @@ from oracles import (
     orbit_array_by_seen_set,
     orbit_levels_by_seen_set,
     orbit_rows,
+    packed_keys_by_bytes,
     parabolic_order_by_diagram,
     shell_by_enumeration,
+    sign_bits_by_bytes,
     weight_coordinates_by_pairings,
 )
 
@@ -299,6 +303,45 @@ def test_orbit_closure_over_half_the_depth_matches_seen_set(mask, cold_memos):
     assert (np.sort(_pack(-_unpack(ref))) == ref).all()
 
 
+# Lattice rows whose weight keys hold the edge bytes 1, 127, 128, 129 and 255:
+# (127, 127, 1, 1, 1, 1, -1, -1) has fw_2 = 127 and fw_1 = fw_8 = -1.
+_EDGE_ROWS = np.array([
+    (127, 127, 1, 1, 1, 1, -1, -1), (-127, -127, -1, -1, -1, -1, 1, 1), (0,) * 8,
+])
+
+
+def _weight_keys(rows):
+    """The weight keys of lattice rows whose fw coordinates lie in [-127, 127]."""
+    return (((rows @ _A2.T) // 4) + 128).astype(np.uint8).view(np.uint64).ravel()
+
+
+def test_edge_rows_hold_the_edge_bytes():
+    assert {1, 127, 128, 129, 255} <= set(_weight_keys(_EDGE_ROWS).view(np.uint8).tolist())
+
+
+@given(arrays(np.uint8, st.tuples(st.integers(0, 40), st.just(8)),
+              elements=st.integers(1, 255)))
+def test_sign_bits_match_byte_oracle(fwb):
+    w = np.concatenate([_weight_keys(_EDGE_ROWS), fwb.view(np.uint64).ravel()])
+    neg, zero = _sign_bits(w)
+    want_neg, want_zero = sign_bits_by_bytes(w)
+    assert neg.dtype == zero.dtype == np.uint8
+    assert (neg == want_neg).all() and (zero == want_zero).all()
+
+
+@given(arrays(np.int64, st.tuples(st.integers(0, 40), st.just(8)),
+              elements=st.integers(-63, 63)), st.integers(0, 1))
+def test_packed_keys_match_byte_oracle(y, odd):
+    # rows of one parity and doubled coordinates in [-127, 127]; the lattice
+    # rows among them whose fw coordinates fit a weight key are compared
+    rows = np.concatenate([_EDGE_ROWS, 2 * y + odd, -(2 * y + odd)])
+    fw = (rows @ _A2.T) // 4
+    rows = rows[(rows.sum(axis=1) % 4 == 0) & (np.abs(fw) <= 127).all(axis=1)]
+    w = _weight_keys(rows)
+    assert (_packed_keys(w) == packed_keys_by_bytes(w)).all()
+    assert (_packed_keys(w) == _pack(rows)).all()
+
+
 def test_orbit_closure_peak_memory_per_row(cold_memos):
     m = fw(1, 0, 0, 0, 0, 1, 0, 0)
     orbit_size(m)
@@ -528,6 +571,39 @@ def test_shell_spot_reps():
 @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10, 12, 16, 20, 24])
 def test_shell_dual_routes_agree(two_n):
     assert shell(two_n) == shell_by_enumeration(two_n)
+
+
+def test_shells_of_a_theta_build_match_lone_shells(cold_memos):
+    # theta_e8 cuts every shell out of one walk; shell() walks on its own
+    from e8jac.jacobi import theta_e8
+
+    theta = theta_e8(12)
+    for n in range(13):
+        assert shell(2 * n) == shell_by_enumeration(2 * n)
+        assert theta.terms[n].support() == [m for m, _ in shell(2 * n)]
+
+
+def test_theta_shell_certification_fires_under_optimize():
+    # an orbit size off by one for w8's stabilizer breaks the norm-2 shell
+    code = (
+        "import e8jac.e8 as e8\n"
+        "from e8jac.jacobi import theta_e8\n"
+        "j8 = e8._stabilizer_mask(e8.HIGHEST_ROOT.d)\n"
+        "size = e8._mask_orbit_size\n"
+        "e8._mask_orbit_size = lambda mask: size(mask) + (mask == j8)\n"
+        "try:\n"
+        "    theta_e8(4)\n"
+        "except e8.CertificationError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(e8jac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "shell 2: 241 points, expected 240"
 
 
 def test_shell_by_enumeration_budget():
