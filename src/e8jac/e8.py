@@ -26,7 +26,7 @@ weight key: a gather of each byte's top bit, an exact zero-byte test,
 and one linear map mod 2^64 (_sign_bits, _packed_keys).
 Shells are cut out of the scaled alcove, and a theta build takes every
 shell up to its order from one alcove walk, certifying each shell's size
-by the theta-series identity (_shell_keys).
+by the theta-series identity (_shell_rows).
 Every memo is a functools.cache keyed on exactly what the function reads,
 which for a lattice argument is its coordinates d: a DominantWeight and the
 E8Vector of its coordinates share one entry, so a cached function takes the
@@ -432,7 +432,6 @@ def _parabolic_order(mask: int) -> int:
     return q
 
 
-@functools.cache
 def _stabilizer_mask(d: tuple[int, ...]) -> int:
     """J = {i : (α_i, d) = 0} as a bit mask, for the doubled coordinates d of
     a dominant vector, whose stabilizer is then W_J."""
@@ -494,9 +493,11 @@ def _packed_keys(w: np.ndarray) -> np.ndarray:
     """The _pack key of the row of every weight key in w (uint64), for rows
     whose doubled coordinates lie in [-127, 127]."""
     fwb = w.view(np.uint8).reshape(-1, 8)
-    keys = np.full(len(w), _KEY_OFFSET)
+    keys = np.full(len(w), _KEY_OFFSET, dtype=np.uint64)
     for j, step in enumerate(_KEY_STEPS):
-        keys += fwb[:, j] * step
+        # The dtype is explicit: NumPy 1.x types a uint8 array times a scalar
+        # by the scalar's value, so the product could wrap in uint8..uint32.
+        keys += np.multiply(fwb[:, j], step, dtype=np.uint64)
     return keys
 
 
@@ -537,10 +538,15 @@ def _by_mask(masks: np.ndarray, value) -> np.ndarray:
 
 
 def _orbit_sizes(keys: np.ndarray) -> np.ndarray:
-    """orbit_size of the dominant row of every _pack key, as int64: the
+    """orbit_size of the dominant row of every _pack key, as int64."""
+    return _row_orbit_sizes(_unpack(keys))
+
+
+def _row_orbit_sizes(rows: np.ndarray) -> np.ndarray:
+    """orbit_size of every dominant row of doubled coordinates, as int64: the
     stabilizer masks come from one product with the simple roots, and each
     distinct mask costs one height product."""
-    return _by_mask(((_unpack(keys) @ _A2.T) == 0) @ _BITS, _mask_orbit_size)
+    return _by_mask(((rows @ _A2.T) == 0) @ _BITS, _mask_orbit_size)
 
 
 def _orbit_depth(mask: int) -> int:
@@ -681,8 +687,8 @@ def alcove(t: int) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _shell_keys(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For n = lo..hi, the sorted _pack keys of the representatives of the
+def _shell_rows(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For n = lo..hi, the lex-sorted rows of the representatives of the
     norm-2n shell and their orbit sizes, all from one alcove walk.
 
     By Cauchy–Schwarz (m, θ)^2 <= 2(m, m), so alcove(isqrt(4 * hi)) holds
@@ -696,8 +702,8 @@ def _shell_keys(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
     keep = (lo <= n) & (n <= hi)
     by_norm = np.argsort(n[keep], kind="stable")  # each shell stays lex-sorted
     n = n[keep][by_norm]
-    keys = _pack(rows[keep][by_norm])
-    sizes = _orbit_sizes(keys)
+    rows = rows[keep][by_norm]
+    sizes = _row_orbit_sizes(rows)
     cuts = np.searchsorted(n, np.arange(lo, hi + 2)).tolist()
     totals = np.concatenate(([0], np.cumsum(sizes)))[cuts].tolist()
     out = []
@@ -707,7 +713,7 @@ def _shell_keys(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
         expect = 1 if k == 0 else 240 * sigma_pow(k, 3)
         if total != expect:
             raise CertificationError(f"shell {2 * k}: {total} points, expected {expect}")
-        out.append((keys[a:b], sizes[a:b]))
+        out.append((rows[a:b], sizes[a:b]))
     return out
 
 
@@ -715,7 +721,7 @@ def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
     """Orbit decomposition of the norm-2n shell, with orbit sizes.
 
     Representatives are the alcove points of that norm, cut out of one
-    alcove walk that sizes only them (_shell_keys), so a large norm raises
+    alcove walk that sizes only them (_shell_rows), so a large norm raises
     BudgetError (from two_n = 2048 at the default budget). Sizes come from
     the stabilizer order, and the total is certified by the theta-series
     identity. A theta build takes all its shells from one walk of its own
@@ -728,8 +734,8 @@ def shell(two_n: int) -> list[tuple[DominantWeight, int]]:
 
 @functools.cache
 def _shell(two_n: int) -> tuple[tuple[DominantWeight, int], ...]:
-    ((keys, sizes),) = _shell_keys(two_n // 2, two_n // 2)
-    return tuple(zip(DominantWeight._from_rows(_unpack(keys)), sizes.tolist()))
+    ((rows, sizes),) = _shell_rows(two_n // 2, two_n // 2)
+    return tuple(zip(DominantWeight._from_rows(rows), sizes.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .e8 import (
     _batch_reduce,
     _key_weight,
     _pack,
-    _shell_keys,
+    _shell_rows,
     _unpack,
     coset_min_norm,
     dominant_reduce,
@@ -198,7 +198,7 @@ def theta_e8(order: int) -> JacobiQExpansion:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     return JacobiQExpansion(4, 1, [
-        _element(dict.fromkeys(keys.tolist(), 1), 1) for keys, _ in _shell_keys(0, order)
+        _element(dict.fromkeys(_pack(rows).tolist(), 1), 1) for rows, _ in _shell_rows(0, order)
     ])
 
 

@@ -616,6 +616,18 @@ def test_shell_rejects_odd():
         shell(3)
 
 
+def test_lone_shell_packs_no_keys(monkeypatch, cold_memos):
+    # a lone shell keeps its rows as coordinates, so the packed-key byte
+    # range (doubled coordinates in [-128, 127]) does not bound its norm
+    want = shell_by_enumeration(8)
+
+    def refuse(rows):
+        raise AssertionError("shell() packed its rows")
+
+    monkeypatch.setattr(e8jac.e8, "_pack", refuse)
+    assert shell(8) == want
+
+
 def test_shell_certification_is_an_exception(monkeypatch, cold_memos):
     # the theta-identity count must raise, not assert, so it fires under -O
     full = e8jac.e8.alcove
