@@ -107,9 +107,9 @@ def _mf(a4: int, a6: int, d: int, order: int) -> ModularQSeries:
 # exponents (A_1, A_2) of xi = zeta_u zeta_v, zeta_u/zeta_v in one pair are
 # the doubled E8 columns 2(A_1+A_2, A_1-A_2) of that pair.
 # q-exponents are kept times 4, so they are integers. A table of w factors
-# maps such an exponent to int64 values and uint64 keys whose last w bytes
-# hold a row offset by 128, as in e8._pack: the seed's row is (A), and a
-# table of 2, 4 or 8 factors keys each term by its W(D_w)-canonical E8 row.
+# maps such an exponent to int64 values and the e8._pack keys of rows whose
+# last w coordinates are the term's: the seed's are (A), and a table of 2,
+# 4 or 8 factors keys each term by its W(D_w)-canonical E8 row.
 # Binning every level by canonical row is exact: for g_1, g_2 in W(D_w),
 # (g_1 x, g_2 y) = (g_1 + g_2)(x, y) with g_1 + g_2 in W(D_2w), and W(D8)
 # lies in W(E8), so each product lands in the W(E8)-orbit bin of its raw row.
@@ -122,19 +122,20 @@ def _theta_square(cap: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """theta(w)^2 as a table, the terms of exponent at most cap."""
     seed: dict[int, dict[int, int]] = {}
     r = isqrt(cap)
-    if r > 127:  # every A in [-r, r] is keyed as the byte A + 128
+    if r > 127:  # every A in [-r, r] is a coordinate of a packed row
         raise BudgetError("theta-quotient seed exponent outside the byte range [-128, 127]")
     for a in range(-r, r + 1):
         for d in range(-r, r + 1):
             e = a * a + d * d
             if (a + d) % 2 and e <= cap:
                 row = seed.setdefault(e, {})
-                row[a + 128] = row.get(a + 128, 0) + (1 if a % 2 else -1)
-    return {
-        e: (np.array(list(row), dtype=np.uint64),
-            np.array(list(row.values()), dtype=np.int64))
-        for e, row in seed.items()
-    }
+                row[a] = row.get(a, 0) + (1 if a % 2 else -1)
+    out = {}
+    for e, row in seed.items():
+        rows = np.zeros((len(row), 8), dtype=np.int64)
+        rows[:, 7] = list(row)
+        out[e] = _pack(rows), np.array(list(row.values()), dtype=np.int64)
+    return out
 
 
 def _check_int64(vals: np.ndarray) -> None:

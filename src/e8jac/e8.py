@@ -19,11 +19,11 @@ positive-pairing reflections of the one before, deduplicated on its own.
 Levels are closed on weight keys, a byte per fw coordinate, on which the
 simple reflections act linearly, and only to half the depth: the longest
 Weyl element is -1, so the lower levels negated are the upper ones.
-The orbit memo holds no coordinates: each orbit row is its packed key
-with two uint8 bit masks, the simple roots it pairs negatively and to
-zero with. Both masks and the packed key come from word arithmetic on the
-weight key: a gather of each byte's top bit, an exact zero-byte test,
-and one linear map mod 2^64 (_sign_bits, _packed_keys).
+The orbit memo is a sorted uint64 array of weight keys, 8 bytes a row and
+no other encoding: a row pairs α_{j+1} non-negatively iff the top bit of
+its byte j is set, its zero pairings come from an exact zero-byte test
+(_high_bytes, _zero_bits), and its coordinates are its fw coordinates
+times the fundamental weights (_key_fw).
 Shells are cut out of the scaled alcove, and a theta build takes every
 shell up to its order from one alcove walk, certifying each shell's size
 by the theta-series identity (_shell_rows).
@@ -31,8 +31,8 @@ Every memo is a functools.cache keyed on exactly what the function reads,
 which for a lattice argument is its coordinates d: a DominantWeight and the
 E8Vector of its coordinates share one entry, so a cached function takes the
 stabilizer mask from the pairings of d with the simple roots
-(_stabilizer_mask), never from fw. Every dedupe or bin of lattice rows
-packs each row into one uint64 key, a byte per doubled coordinate (see
+(_stabilizer_mask), never from fw. Every other dedupe or bin of lattice
+rows packs each row into one uint64 key, a byte per doubled coordinate (see
 _pack), so every doubled coordinate must lie in [-128, 127]. A row beyond
 that, which needs norm >= 4096, raises BudgetError. Measured: phi_-4_2
 stores rows with doubled coordinates up to 13 at order 10 and up to 20 at
@@ -457,10 +457,6 @@ def orbit_size(m: E8Vector) -> int:
     return _mask_orbit_size(_stabilizer_mask(m.d))
 
 
-# One orbit row: its packed key, and the simple roots it pairs negatively
-# with (neg) and to zero with (zero) as bit masks, bit i for α_{i+1}.
-_ORBIT_DTYPE = np.dtype([("key", np.uint64), ("neg", np.uint8), ("zero", np.uint8)])
-
 # A weight key is a native uint64 whose byte j in memory holds fw_j + 128,
 # the pairing (α_{j+1}, a) offset into a byte, so a batch of keys viewed as
 # uint8 is the (n, 8) table of its simple-root pairings. A simple reflection acts
@@ -471,61 +467,43 @@ _FW_ROOT_KEYS = (
     ((_A2 @ _A2.T) // 4 + 128).astype(np.uint8).view(np.uint64).ravel()
     - np.full((8, 8), 128, dtype=np.uint8).view(np.uint64).ravel()
 )
-# The packed key is linear in fw: _pack(fw @ _W2) = sum_j fw_j·_KEY_STEPS[j]
-# + _pack(0) (mod 2^64), with _KEY_STEPS[j] the key of row j of _W2 less
-# _pack(0). Every byte of the sum is d + 128 in [1, 255] when every doubled
-# coordinate lies in [-127, 127], so no carry crosses a byte and the sum
-# mod 2^64 is the key exactly. With fw_j = byte_j - 128 it is
-# sum_j byte_j·_KEY_STEPS[j] + _KEY_OFFSET, summed a byte column at a time
-# so that no (n, 8) uint64 table is formed.
-_KEY_STEPS = _pack(_W2) - _pack(np.zeros((1, 8), dtype=np.int64))
-_KEY_OFFSET = (_pack(np.zeros((1, 8), dtype=np.int64)) - 128 * _KEY_STEPS.sum(keepdims=True))[0]
 # Word masks of each byte's top bit and low seven bits, and the multiplier
 # that gathers bit 8j + 7 of a word into bit 56 + j (Warren, Hacker's
 # Delight, §7-1): its partial products land on distinct bits, so none carries.
 _HIGH = np.uint64(0x8080808080808080)
 _LOW = np.uint64(0x7F7F7F7F7F7F7F7F)
 _GATHER = np.uint64(0x0102040810204080)
-_CHUNK = 8192  # weight keys turned into packed keys at a time
 
 
-def _packed_keys(w: np.ndarray) -> np.ndarray:
-    """The _pack key of the row of every weight key in w (uint64), for rows
-    whose doubled coordinates lie in [-127, 127]."""
-    fwb = w.view(np.uint8).reshape(-1, 8)
-    keys = np.full(len(w), _KEY_OFFSET, dtype=np.uint64)
-    for j, step in enumerate(_KEY_STEPS):
-        # The dtype is explicit: NumPy 1.x types a uint8 array times a scalar
-        # by the scalar's value, so the product could wrap in uint8..uint32.
-        keys += np.multiply(fwb[:, j], step, dtype=np.uint64)
-    return keys
+def _key_fw(w: np.ndarray) -> np.ndarray:
+    """The (n, 8) int64 fw coordinates of the weight keys in w; the rows
+    themselves are _key_fw(w) @ _W2."""
+    return w.view(np.uint8).reshape(-1, 8).astype(np.int64) - 128
 
 
-def _top_bits(h: np.ndarray) -> np.ndarray:
-    """Bit j of the result is bit 7 of byte j of each word of h, as uint8,
-    for words with no other bit set. Works in place: h is overwritten."""
-    h >>= np.uint64(7)
-    h *= _GATHER
-    h >>= np.uint64(56)
-    return h.astype(np.uint8)
+def _high_bytes(mask: int) -> np.uint64:
+    """H_J: the weight-key word with 0x80 in byte j for each bit j of mask.
+    A key w pairs every α_{j+1}, j in J, non-negatively iff w & H_J == H_J."""
+    high = np.array([0x80 * (mask >> j & 1) for j in range(8)], dtype=np.uint8)
+    return high.view(np.uint64)[0]
 
 
-def _sign_bits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The neg and zero simple-root masks of every weight key in w: bit j
-    where fw_j < 0, that is byte j < 128 (its top bit clear), and where
-    fw_j = 0, that is byte j of v = w ^ _HIGH is zero. The zero-byte test
-    is exact, with no carry between bytes (Hacker's Delight, §6-1): the
-    top bit of byte j of ((v & _LOW) + _LOW) | v is clear iff that byte of
-    v is zero. Both masks gather the bytes whose top bit is set and are
-    inverted as uint8, which spares a uint64 inversion. The zero test and
-    the gathers run in place, so a chunk holds at most three word arrays."""
-    w = w.view("<u8")  # byte j of each word is byte j in memory
-    v = w ^ _HIGH
+def _zero_bits(w: np.ndarray) -> np.ndarray:
+    """The simple roots every weight key in w pairs to zero with, as uint8
+    masks: bit j where fw_j = 0, that is where byte j of v = w ^ _HIGH is
+    zero. The test is exact, with no carry between bytes (Hacker's Delight,
+    §6-1): the top bit of byte j of ((v & _LOW) + _LOW) | v is clear iff
+    that byte of v is zero. The top bits are gathered by one product and
+    inverted as uint8, which spares a uint64 inversion."""
+    v = w.view("<u8") ^ _HIGH  # byte j of each word is byte j in memory
     h = v & _LOW
     h += _LOW
     h |= v
     h &= _HIGH
-    return ~_top_bits(w & _HIGH), ~_top_bits(h)
+    h >>= np.uint64(7)
+    h *= _GATHER
+    h >>= np.uint64(56)
+    return ~h.astype(np.uint8)
 
 
 def _by_mask(masks: np.ndarray, value) -> np.ndarray:
@@ -574,33 +552,30 @@ def _lower_half(m: E8Vector, depth: int) -> tuple[np.ndarray, int]:
 
 @functools.cache
 def orbit_array(m: E8Vector) -> np.ndarray:
-    """The full orbit as a read-only _ORBIT_DTYPE array sorted by key: each
-    row's _pack key with its neg and zero simple-root bit masks.
+    """The full orbit as a read-only sorted uint64 array of weight keys,
+    8 bytes a row: byte j of each key holds (α_{j+1}, a) + 128.
 
     The depth of a, #{β > 0 : (β, a) < 0}, is the length of the shortest w
     with w·m = a. Where (α_i, a) > 0 the image s_i·a has depth one more than
     a, and every a of positive depth has a simple root with (α_i, a) < 0,
     whose reflection lowers it by one. So level k+1 is exactly the
     positive-pairing images of level k: the levels are disjoint and each is
-    deduplicated on its own, with no seen set. They are closed on weight
-    keys, whose bytes are the pairings themselves, and each row's packed
-    key and sign bits are read off its weight key by word arithmetic
-    (_packed_keys, _sign_bits), 8,192 rows at a time.
+    deduplicated on its own, with no seen set.
 
     The longest element of W(E8) is -1 (Humphreys, Reflection Groups and
     Coxeter Groups, §3.20), and depth(-a) = D - depth(a) with
     D = #{β > 0 : (β, m) != 0}. So only levels 0..D // 2 are closed; the
-    rows below depth D / 2, negated, are the levels above it. A packed key
-    negates byte by byte mod 256, and -a pairs negatively exactly where a
-    pairs positively.
+    rows below depth D / 2, negated, are the levels above it. A weight key
+    negates byte by byte mod 256.
 
     The largest |doubled coordinate| on the orbit is (m, w_1) = m.d[7], and
     every fw coordinate is some (β, m) with |(β, m)| <= (θ, m) =
     (m.d[6] + m.d[7]) / 2 <= m.d[7]; so one look at m decides whether every
-    row fits both keys. The size is known up front from the stabilizer
-    order, which doubles as the budget guard and, with the sorted keys'
-    lack of adjacent duplicates, as a completeness check on the closure.
-    Callers that need coordinates _unpack the keys they read.
+    row fits a key, with each byte in [1, 255]. The size is known up front
+    from the stabilizer order, which doubles as the budget guard and, with
+    the sorted keys' lack of adjacent duplicates, as a completeness check
+    on the closure. A caller reads each row's sign bits off its bytes
+    (_high_bytes, _zero_bits) and its coordinates as _key_fw(keys) @ _W2.
     """
     size = orbit_size(m)
     limit = element_budget()
@@ -610,31 +585,12 @@ def orbit_array(m: E8Vector) -> np.ndarray:
         raise BudgetError("lattice row has a doubled coordinate outside [-128, 127]")
     lower, n_below = _lower_half(m, _orbit_depth(_stabilizer_mask(m.d)))
     n = len(lower)
-    keys = np.empty(n + n_below, dtype=np.uint64)
-    negs = np.empty(n + n_below, dtype=np.uint8)
-    zeros = np.empty(n + n_below, dtype=np.uint8)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        keys[lo:hi] = _packed_keys(lower[lo:hi])
-        negs[lo:hi], zeros[lo:hi] = _sign_bits(lower[lo:hi])
+    out = np.empty(n + n_below, dtype=np.uint64)
+    out[:n] = lower
+    np.negative(lower[:n_below].view(np.uint8), out=out[n:].view(np.uint8))
     del lower
-    # Sorted, the lower rows are one ascending run of keys; negation reverses
-    # the lex order of rows, so the rows below depth D / 2, negated and read
-    # backwards, are a second one, and the final sort is a merge.
-    order = np.argsort(keys[:n], kind="stable")
-    below = order[order < n_below][::-1]
-    keys[n:] = np.negative(keys[below].view(np.uint8)).view(np.uint64)
-    negs[n:] = ~(negs[below] | zeros[below])
-    zeros[n:] = zeros[below]
-    keys[:n], negs[:n], zeros[:n] = keys[order], negs[order], zeros[order]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    out = np.empty(len(keys), dtype=_ORBIT_DTYPE)
-    out["key"] = keys
-    del keys
-    out["neg"] = negs[order]
-    out["zero"] = zeros[order]
-    if len(out) != size or (out["key"][1:] == out["key"][:-1]).any():
+    out.sort()
+    if len(out) != size or (out[1:] == out[:-1]).any():
         raise CertificationError("orbit closure disagrees with stabilizer order")
     out.setflags(write=False)
     return out
@@ -642,7 +598,8 @@ def orbit_array(m: E8Vector) -> np.ndarray:
 
 def orbit(m: DominantWeight) -> list[E8Vector]:
     """The orbit as E8Vector objects in deterministic (lex) order."""
-    return [E8Vector(tuple(row)) for row in _unpack(orbit_array(m)["key"]).tolist()]
+    keys = np.sort(_pack(_key_fw(orbit_array(m)) @ _W2))
+    return [E8Vector(tuple(row)) for row in _unpack(keys).tolist()]
 
 
 # ---------------------------------------------------------------------------

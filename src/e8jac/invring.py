@@ -30,9 +30,12 @@ from .e8 import (
     CertificationError,
     DominantWeight,
     E8Vector,
+    _W2,
     _batch_reduce,
     _by_mask,
+    _high_bytes,
     _key,
+    _key_fw,
     _key_weight,
     _orbit_sizes,
     _pack,
@@ -40,6 +43,7 @@ from .e8 import (
     _stabilizer_mask,
     _sum_by_key,
     _unpack,
+    _zero_bits,
     orbit_array,
     orbit_size,
 )
@@ -310,10 +314,10 @@ class InvariantElement:
         Returns the Laurent polynomial as a sparse exponent -> coefficient
         map; always palindromic since -1 lies in the Weyl group.
         """
-        vd = np.array(v.d, dtype=np.int64)
+        wv = (_W2 @ np.array(v.d, dtype=np.int64)) // 4  # (w_j, v), integral
         out: dict[int, int] = {}
         for key, c in self.num.items():
-            dots = (_unpack(orbit_array(_key_weight(key))["key"]) @ vd) // 4
+            dots = _key_fw(orbit_array(_key_weight(key))) @ wv
             exps, counts = np.unique(dots, return_counts=True)
             for e, k in zip(exps.tolist(), counts.tolist()):
                 val = out.get(e, 0) + c * k
@@ -398,10 +402,13 @@ def from_display(pairs) -> InvariantElement:
 # ((α_i, a) >= 0 for i in J), whose W_J-stabilizer is the parabolic
 # subgroup on J ∩ Z(a), Z(a) = {i : (α_i, a) = 0} (Humphreys §1.10–1.12).
 # So U_m sums the weights |W_J|/|W_{J∩Z(a)}| over the J-dominant a with
-# reduce(a + m2) = m. The orbit memo's sign bits name both sets: a is
-# J-dominant iff neg(a) & J = 0, and J ∩ Z(a) is zero(a) & J, so only the
-# kept keys are unpacked, and the weights take one cached stabilizer order
-# per distinct J ∩ Z(a) (e8._by_mask). The weights must add up to |orbit(m1)|, which is
+# reduce(a + m2) = m. The orbit memo's weight keys name both sets, since
+# byte i of a's key is (α_{i+1}, a) + 128: a is J-dominant iff the top bit
+# of every byte in J is set, key & H_J == H_J with H_J = 0x80 in each J
+# byte, and J ∩ Z(a) is the zero-byte mask of a's key & J. Only the kept
+# keys are tested for zero bytes and turned into coordinates, fw @ _W2,
+# and the weights take one cached stabilizer order per distinct J ∩ Z(a)
+# (e8._by_mask). The weights must add up to |orbit(m1)|, which is
 # checked on every call. A product of orbit sums has integer coefficients
 # (each counts the pairs (a, b) with a + b = m), so |orb(m)| must divide
 # |orb(m2)|·U_m; that is checked on every call too.
@@ -414,14 +421,15 @@ def _orbit_pair_product(m1: DominantWeight, m2: DominantWeight) -> InvariantElem
         return InvariantElement.orbit_sum(m1)
     orb = orbit_array(m1)
     mask = _stabilizer_mask(m2.d)
-    keep = (orb["neg"] & mask) == 0
+    high = _high_bytes(mask)
+    kept = orb[(orb & high) == high]
     order_j = _parabolic_order(mask)
-    weights = _by_mask(orb["zero"][keep] & mask, lambda z: order_j // _parabolic_order(z))
+    weights = _by_mask(_zero_bits(kept) & mask, lambda z: order_j // _parabolic_order(z))
     if int(weights.sum()) != orbit_size(m1):
         raise CertificationError(
             "W_J-orbit weights disagree with the orbit size of the first factor"
         )
-    shifted = _unpack(orb["key"][keep]) + np.array(m2.d, dtype=np.int64)
+    shifted = _key_fw(kept) @ _W2 + np.array(m2.d, dtype=np.int64)
     keys, counts = _sum_by_key(_pack(_batch_reduce(shifted)), weights)
     # U_m·|orb(m2)| <= |W|^2 < 2^63, so int64 holds it
     num, rem = np.divmod(counts * orbit_size(m2), _orbit_sizes(keys))

@@ -8,9 +8,8 @@ function computes, and is used only by the tests:
 * ``orbit_array_by_seen_set`` for ``e8.orbit_array`` (compared on keys),
   and its breadth-first levels ``orbit_levels_by_seen_set``, whose count
   is the orbit's depth;
-* ``packed_keys_by_bytes`` and ``sign_bits_by_bytes`` for ``e8._packed_keys``
-  and ``e8._sign_bits`` (a uint8 product with the fundamental weights and
-  ``np.packbits`` over byte comparisons, where the library works on whole
+* ``sign_bits_by_bytes`` for ``e8._high_bytes`` and ``e8._zero_bits``
+  (``np.packbits`` over byte comparisons, where the library works on whole
   words);
 * ``_batch_reduce_by_reflection`` for ``e8._batch_reduce``;
 * ``weight_coordinates_by_pairings`` for ``e8.DominantWeight._from_rows``
@@ -68,6 +67,7 @@ from e8jac.e8 import (
     E8Vector,
     _batch_reduce,
     _dn_canonical,
+    _key_fw,
     _key_weight,
     _pack,
     _sum_by_key,
@@ -98,31 +98,14 @@ from e8jac.qseries import ModularQSeries, dim_modular
 
 
 def orbit_rows(m: DominantWeight) -> np.ndarray:
-    """The orbit of m as lex-sorted (size, 8) int64 rows: the unpacked keys
-    of e8.orbit_array, which holds no coordinates."""
-    return _unpack(orbit_array(m)["key"])
-
-
-# Packed bytes from weight-key bytes: d + 128 = (fw + 128) @ _W2 + _W2_OFFSET
-# with _W2_OFFSET = 128 - 128·(column sums of _W2). It lies in [1, 255] for
-# doubled coordinates in [-127, 127], so uint8 arithmetic, which wraps mod
-# 256, gives it exactly.
-_W2_BYTES = _W2.astype(np.uint8)
-_W2_OFFSET = (128 - 128 * _W2.sum(axis=0)).astype(np.uint8)
+    """The orbit of m as lex-sorted (size, 8) int64 rows: the weight keys of
+    e8.orbit_array as coordinates, sorted by their packed keys."""
+    return _unpack(np.sort(_pack(_key_fw(orbit_array(m)) @ _W2)))
 
 
 def _root_bits(mask: np.ndarray) -> np.ndarray:
     """Bit i of row r set where mask[r, i]: an (n, 8) bool array as n uint8s."""
     return np.packbits(mask, axis=1, bitorder="little").ravel()
-
-
-def packed_keys_by_bytes(w: np.ndarray) -> np.ndarray:
-    """The _pack key of the row of every weight key in w (byte j in memory
-    holds fw_j + 128), one row byte at a time in uint8 arithmetic."""
-    fwb = w.view(np.uint8).reshape(-1, 8)
-    packed = fwb @ _W2_BYTES
-    packed += _W2_OFFSET
-    return packed.view(">u8").ravel().astype(np.uint64)
 
 
 def sign_bits_by_bytes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,7 +498,9 @@ def phi16_4_by_raw_rows(order: int) -> JacobiQExpansion:
     rows (a byte per A) and only the eight-factor products binned by
     W(D8)-canonical row. Charges the element budget as the library does."""
     n_num = order + 2
-    two, spent = _fold(_theta_square(4 * n_num - 7), range(4 * n_num - 5), _concat(8), 0)
+    seed = {e: ((_unpack(k)[:, 7] + 128).astype(np.uint64), v)
+            for e, (k, v) in _theta_square(4 * n_num - 7).items()}
+    two, spent = _fold(seed, range(4 * n_num - 5), _concat(8), 0)
     four, spent = _fold(two, range(4 * n_num - 3), _concat(16), spent)
     eight, _ = _fold(four, range(0, 4 * n_num + 1, 4), _d8_canonical, spent)
     terms = []
@@ -558,12 +543,12 @@ def inv_mul_by_membership(
     Every dominant m = reduce(a + b) has (m, θ) <= (m1, θ) + (m2, θ) and
     |m| <= |m1| + |m2|, so the candidates are the alcove points under both
     bounds. Each membership test is a searchsorted into the packed keys of
-    orb(m2), which the orbit memo holds sorted.
+    the lex-sorted rows of orb(m2).
     """
     if orbit_size(m1) > orbit_size(m2):
         m1, m2 = m2, m1
     a = orbit_rows(m1)
-    keys2 = orbit_array(m2)["key"]
+    keys2 = _pack(orbit_rows(m2))
     n1, n2 = (sum(x * x for x in m.d) for m in (m1, m2))  # 4|m|^2
     out = {}
     for md in alcove(pairing(m1, HIGHEST_ROOT) + pairing(m2, HIGHEST_ROOT)):

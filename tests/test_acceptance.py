@@ -264,9 +264,8 @@ _PROPERTIES_UNDER_OPTIMIZE = """
 import numpy as np
 from e8jac import (HIGHEST_ROOT, REGISTRY, DominantWeight, build,
                    check_quasi_periodicity, classify, coset_min_norm,
-                   orbit_array, weight0_identity)
-from e8jac.e8 import _unpack
-roots = _unpack(orbit_array(DominantWeight(HIGHEST_ROOT))["key"])
+                   orbit, weight0_identity)
+roots = np.array([r.d for r in orbit(DominantWeight(HIGHEST_ROOT))])
 forms = checks = 0
 for name, entry in sorted(REGISTRY.items()):
     if not entry.buildable:

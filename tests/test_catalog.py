@@ -864,7 +864,8 @@ _PATCHED_SEED = (
 def test_phi16_4_odd_exponent_is_an_exception():
     # every genuine seed term has exponent A^2 + delta^2 = 1 mod 4, so one
     # of exponent 0 gives a four-factor product an odd doubled q-exponent
-    patch = "    table[0] = (np.array([128], np.uint64), np.array([1], np.int64))\n"
+    patch = ("    table[0] = (c._pack(np.zeros((1, 8), np.int64)),"
+             " np.array([1], np.int64))\n")
     out = _run_optimized(_PATCHED_SEED.format(patch=patch))
     assert out == "odd doubled q-exponent in the theta product"
 

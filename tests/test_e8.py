@@ -25,14 +25,16 @@ from e8jac.e8 import (
     _A2,
     _POSITIVE_ROOTS,
     _ROOT_ROWS,
+    _W2,
     _decode_scaled,
     _dn_canonical,
+    _high_bytes,
+    _key_fw,
     _orbit_depth,
     _pack,
-    _packed_keys,
     _parabolic_order,
-    _sign_bits,
     _unpack,
+    _zero_bits,
     alcove,
     coset_min_norm,
     dominant_reduce,
@@ -52,7 +54,6 @@ from oracles import (
     orbit_array_by_seen_set,
     orbit_levels_by_seen_set,
     orbit_rows,
-    packed_keys_by_bytes,
     parabolic_order_by_diagram,
     shell_by_enumeration,
     sign_bits_by_bytes,
@@ -249,13 +250,30 @@ def test_orbit_sizes_against_bfs(coords, size):
     assert (np.unique(arr, axis=0) == arr).all()
 
 
+def _weight_keys(rows):
+    """The weight keys of lattice rows whose fw coordinates lie in [-127, 127]."""
+    return (((rows @ _A2.T) // 4) + 128).astype(np.uint8).view(np.uint64).ravel()
+
+
+def _assert_sign_bits(orb, p4):
+    """The memo's sign-bit reads match the pairings p4 (times 4) of its rows:
+    the H_J byte test for each one-root J, and the zero-byte masks."""
+    assert (_zero_bits(orb) == (p4 == 0) @ (1 << np.arange(8))).all()
+    for i in range(8):
+        high = _high_bytes(1 << i)
+        assert (((orb & high) == high) == (p4[:, i] >= 0)).all()
+
+
 def _assert_same_as_seen_set_closure(m):
-    arr = orbit_array(m)
-    ref = _pack(orbit_array_by_seen_set(m))
-    assert arr.dtype.names == ("key", "neg", "zero")
-    assert arr.shape == ref.shape and (arr["key"] == ref).all()
-    assert not arr.flags.writeable
-    assert orbit_array(m) is arr
+    orb = orbit_array(m)
+    ref = orbit_array_by_seen_set(m)
+    assert orb.dtype == np.uint64 and not orb.flags.writeable
+    assert orb.nbytes == 8 * len(orb) == 8 * len(ref)
+    assert (orb[1:] > orb[:-1]).all()  # sorted, no duplicates
+    assert (np.sort(_pack(_key_fw(orb) @ _W2)) == _pack(ref)).all()
+    # byte j of each key is the row's pairing with α_{j+1}, offset by 128
+    assert (np.sort(_weight_keys(ref)) == orb).all()
+    assert orbit_array(m) is orb
 
 
 @pytest.mark.parametrize(
@@ -266,12 +284,12 @@ def test_orbit_closure_by_depth_matches_seen_set(label, cold_memos):
 
 @pytest.mark.parametrize("label", SIGMA_LABELS)
 def test_orbit_sign_bits_are_the_simple_root_pairings(label, cold_memos):
-    orb = orbit_array(label_weight(label))
-    p4 = _unpack(orb["key"]) @ _A2.T
-    bits = 1 << np.arange(8)
-    assert (orb["neg"] == (p4 < 0) @ bits).all()
-    assert (orb["zero"] == (p4 == 0) @ bits).all()
-    assert orb.nbytes == 10 * len(orb) == 10 * orbit_size(label_weight(label))
+    m = label_weight(label)
+    orb = orbit_array(m)
+    rows = _key_fw(orb) @ _W2
+    assert ((rows * rows).sum(axis=1) == 4 * m.norm()).all()
+    _assert_sign_bits(orb, rows @ _A2.T)
+    assert orb.nbytes == 8 * len(orb) == 8 * orbit_size(m)
 
 
 # Every stabilizer type J whose orbit has at most 250,000 rows, as its mask:
@@ -292,15 +310,13 @@ def test_orbit_closure_over_half_the_depth_matches_seen_set(mask, cold_memos):
     m = fw(*(0 if mask >> i & 1 else 1 for i in range(8)))
     levels = orbit_levels_by_seen_set(m)
     assert len(levels) - 1 == _orbit_depth(mask)
+    ref = _unpack(np.concatenate(levels))
+    ref = ref[np.argsort(_weight_keys(ref))]
     orb = orbit_array(m)
-    ref = np.sort(np.concatenate(levels))
-    assert (orb["key"] == ref).all()
-    p4 = _unpack(ref) @ _A2.T
-    bits = 1 << np.arange(8)
-    assert (orb["neg"] == (p4 < 0) @ bits).all()
-    assert (orb["zero"] == (p4 == 0) @ bits).all()
+    assert (orb == _weight_keys(ref)).all()
+    _assert_sign_bits(orb, ref @ _A2.T)
     # w_0 = -1: the orbit is closed under negation
-    assert (np.sort(_pack(-_unpack(ref))) == ref).all()
+    assert (np.sort(_weight_keys(-ref)) == orb).all()
 
 
 # Lattice rows whose weight keys hold the edge bytes 1, 127, 128, 129 and 255:
@@ -308,38 +324,30 @@ def test_orbit_closure_over_half_the_depth_matches_seen_set(mask, cold_memos):
 _EDGE_ROWS = np.array([
     (127, 127, 1, 1, 1, 1, -1, -1), (-127, -127, -1, -1, -1, -1, 1, 1), (0,) * 8,
 ])
-
-
-def _weight_keys(rows):
-    """The weight keys of lattice rows whose fw coordinates lie in [-127, 127]."""
-    return (((rows @ _A2.T) // 4) + 128).astype(np.uint8).view(np.uint64).ravel()
+# Weight keys of the edge bytes alone: each byte in every position, and next
+# to each of the others.
+_EDGE_BYTES = (1, 127, 128, 129, 255)
+_EDGE_KEYS = np.array(
+    [(b,) * 8 for b in _EDGE_BYTES]
+    + [np.roll(_EDGE_BYTES + (128, 255, 1), k) for k in range(8)],
+    dtype=np.uint8,
+).view(np.uint64).ravel()
 
 
 def test_edge_rows_hold_the_edge_bytes():
-    assert {1, 127, 128, 129, 255} <= set(_weight_keys(_EDGE_ROWS).view(np.uint8).tolist())
+    assert set(_EDGE_BYTES) <= set(_weight_keys(_EDGE_ROWS).view(np.uint8).tolist())
 
 
 @given(arrays(np.uint8, st.tuples(st.integers(0, 40), st.just(8)),
               elements=st.integers(1, 255)))
 def test_sign_bits_match_byte_oracle(fwb):
-    w = np.concatenate([_weight_keys(_EDGE_ROWS), fwb.view(np.uint64).ravel()])
-    neg, zero = _sign_bits(w)
-    want_neg, want_zero = sign_bits_by_bytes(w)
-    assert neg.dtype == zero.dtype == np.uint8
-    assert (neg == want_neg).all() and (zero == want_zero).all()
-
-
-@given(arrays(np.int64, st.tuples(st.integers(0, 40), st.just(8)),
-              elements=st.integers(-63, 63)), st.integers(0, 1))
-def test_packed_keys_match_byte_oracle(y, odd):
-    # rows of one parity and doubled coordinates in [-127, 127]; the lattice
-    # rows among them whose fw coordinates fit a weight key are compared
-    rows = np.concatenate([_EDGE_ROWS, 2 * y + odd, -(2 * y + odd)])
-    fw = (rows @ _A2.T) // 4
-    rows = rows[(rows.sum(axis=1) % 4 == 0) & (np.abs(fw) <= 127).all(axis=1)]
-    w = _weight_keys(rows)
-    assert (_packed_keys(w) == packed_keys_by_bytes(w)).all()
-    assert (_packed_keys(w) == _pack(rows)).all()
+    w = np.concatenate([_weight_keys(_EDGE_ROWS), _EDGE_KEYS, fwb.view(np.uint64).ravel()])
+    neg, zero = sign_bits_by_bytes(w)
+    assert _zero_bits(w).dtype == np.uint8
+    assert (_zero_bits(w) == zero).all()
+    for mask in range(256):
+        high = _high_bytes(mask)
+        assert (((w & high) == high) == ((neg & mask) == 0)).all()
 
 
 def test_orbit_closure_peak_memory_per_row(cold_memos):

@@ -160,9 +160,10 @@ def test_pair_product_integrality_is_certified_under_optimize():
 
 
 def test_pair_product_sign_bits_are_certified_under_optimize():
-    # one neg bit inside J flipped each way: a J-dominant row of orb(w8)
-    # that drops out, and a row that is J-dominant but for that bit and
-    # joins in; either way the weights no longer add up to |orb(w8)|
+    # one weight-key byte inside J corrupted each way: byte 0 of a
+    # J-dominant row of orb(w8) made negative, so the row drops out, and
+    # byte 1 of a row that is J-dominant but for that byte made positive,
+    # so it joins in; either way the weights no longer add up to |orb(w8)|
     code = (
         "import numpy as np\n"
         "import e8jac.invring as inv\n"
@@ -170,11 +171,12 @@ def test_pair_product_sign_bits_are_certified_under_optimize():
         "w8 = DominantWeight.from_fw((0,) * 7 + (1,))\n"
         "J = inv._stabilizer_mask(w8.d)\n"
         "real = inv.orbit_array(w8)\n"
-        "neg = real['neg'] & J\n"
-        "for row, bit in ((np.flatnonzero(neg == 0)[0], 1),\n"
-        "                 (np.flatnonzero(neg == 2)[0], 2)):\n"
+        "fwb = real.view(np.uint8).reshape(-1, 8)\n"
+        "neg = np.packbits(fwb < 128, axis=1, bitorder='little').ravel() & J\n"
+        "for row, byte, value in ((np.flatnonzero(neg == 0)[0], 0, 127),\n"
+        "                         (np.flatnonzero(neg == 2)[0], 1, 129)):\n"
         "    orb = real.copy()\n"
-        "    orb['neg'][row] ^= bit\n"
+        "    orb.view(np.uint8).reshape(-1, 8)[row, byte] = value\n"
         "    inv.orbit_array = lambda m: orb\n"
         "    try:\n"
         "        inv._orbit_pair_product.__wrapped__(w8, w8)\n"
@@ -194,8 +196,8 @@ def test_pair_product_sign_bits_are_certified_under_optimize():
 
 
 def test_deep_build_memory_holds_no_orbit_rows(monkeypatch, cold_memos):
-    # the orbit memo holds a key and two bit masks per row (10 bytes, where
-    # int64 rows took 64), and a pair product unpacks only its kept keys:
+    # the orbit memo holds one weight key per row (8 bytes, where int64
+    # rows took 64), and a pair product converts only its kept keys:
     # int64 orbit rows peaked at 31.7 MB here
     closed = []
     real = e8jac.invring.orbit_array
@@ -214,7 +216,7 @@ def test_deep_build_memory_holds_no_orbit_rows(monkeypatch, cold_memos):
     assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
     largest = max(closed, key=orbit_size)
     assert orbit_size(largest) == 138240
-    assert real(largest).nbytes <= 16 * orbit_size(largest)
+    assert real(largest).nbytes == 8 * orbit_size(largest)
 
 
 def test_deep_build_reduces_one_row_per_stabilizer_orbit(monkeypatch, cold_memos):
